@@ -1,0 +1,143 @@
+"""The twenty linear-bicategory laws, stated once for every 1-cell calculus.
+
+Relations over an LD-quantale (:mod:`linrel.qrel`) and bimodules over a
+linear quantaloid (:mod:`linrel.qmod`) form locally posetal linear
+bicategories under the same axioms.  Each level supplies a
+:class:`Calculus` of its 1-cell operations; :data:`LAWS` states every
+axiom against that record, so the levels share the law bodies and differ
+only in how they draw cases and encode witnesses.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable
+
+from .report import LAW_GROUPS
+
+Cell = Any
+
+
+@dataclass(frozen=True)
+class Calculus:
+    """The operations a level supplies for its 1-cells.
+
+    ``tensor`` and ``par`` compose ``f: X->Y`` with ``g: Y->Z``.  The
+    identity families (``id_top(f, X)``, ``id_bot(f, X)``) and the extreme
+    cells (``zero(f, X, Y)``, ``top(f, X, Y)``) take a cell ``f`` for
+    context, such as the ambient quantale or whether it is linear.
+    ``join``, ``meet`` and ``leq`` are the 2-cell structure between
+    parallel cells; ``eq`` decides equality of parallel cells.
+    """
+
+    tensor: Callable[[Cell, Cell], Cell]
+    par: Callable[[Cell, Cell], Cell]
+    id_top: Callable[[Cell, Any], Cell]
+    id_bot: Callable[[Cell, Any], Cell]
+    zero: Callable[[Cell, Any, Any], Cell]
+    top: Callable[[Cell, Any, Any], Cell]
+    join: Callable[[Cell, Cell], Cell]
+    meet: Callable[[Cell, Cell], Cell]
+    leq: Callable[[Cell, Cell], bool]
+    eq: Callable[[Cell, Cell], bool]
+    source: Callable[[Cell], Any]
+    target: Callable[[Cell], Any]
+
+
+# Each shape lists its cells as (source, target) positions along a chain of
+# objects X0 -> X1 -> ...: "chainN" is N composable cells, "fork-left" two
+# parallel cells X0 -> X1 plus one X1 -> X2, and "fork-right" two parallel
+# cells X1 -> X2 plus one X0 -> X1.
+SHAPE_SLOTS: dict[str, tuple[tuple[int, int], ...]] = {
+    "chain1": ((0, 1),),
+    "chain3": ((0, 1), (1, 2), (2, 3)),
+    "fork-left": ((0, 1), (0, 1), (1, 2)),
+    "fork-right": ((1, 2), (1, 2), (0, 1)),
+}
+
+Law = Callable[..., bool]
+
+
+def _multiplication_laws(op: str, bound: str, extreme: str, ident: str,
+                         ) -> tuple[Law, ...]:
+    """Associativity, units, preservation of ``bound`` on either side and
+    absorption of the ``extreme`` cells, for the composition ``op``.
+
+    With (tensor, join, zero, id_top) these are the quantale axioms; with
+    (par, meet, top, id_bot) they are the same axioms on the opposite order.
+    """
+
+    def assoc(c, f, g, h):
+        o = getattr(c, op)
+        return c.eq(o(o(f, g), h), o(f, o(g, h)))
+
+    def unit_left(c, f):
+        return c.eq(getattr(c, op)(getattr(c, ident)(f, c.source(f)), f), f)
+
+    def unit_right(c, f):
+        return c.eq(getattr(c, op)(f, getattr(c, ident)(f, c.target(f))), f)
+
+    def bound_left(c, f1, f2, g):
+        o, b = getattr(c, op), getattr(c, bound)
+        return c.eq(o(b(f1, f2), g), b(o(f1, g), o(f2, g)))
+
+    def bound_right(c, g1, g2, f):
+        o, b = getattr(c, op), getattr(c, bound)
+        return c.eq(o(f, b(g1, g2)), b(o(f, g1), o(f, g2)))
+
+    def extreme_left(c, f):
+        e = getattr(c, extreme)
+        X = c.source(f)
+        return c.eq(getattr(c, op)(e(f, X, X), f), e(f, X, c.target(f)))
+
+    def extreme_right(c, f):
+        e = getattr(c, extreme)
+        Y = c.target(f)
+        return c.eq(getattr(c, op)(f, e(f, Y, Y)), e(f, c.source(f), Y))
+
+    return (assoc, unit_left, unit_right, bound_left, bound_right,
+            extreme_left, extreme_right)
+
+
+def _distribution_left(c, f, g, h):
+    return c.leq(c.tensor(f, c.par(g, h)), c.par(c.tensor(f, g), h))
+
+
+def _distribution_right(c, f, g, h):
+    return c.leq(c.tensor(c.par(f, g), h), c.par(f, c.tensor(g, h)))
+
+
+def _monotone_laws(op: str) -> tuple[Law, Law]:
+    """Composing with a larger cell on either side gives a larger cell."""
+
+    def left(c, f1, f2, g):
+        o = getattr(c, op)
+        return c.leq(o(f1, g), o(c.join(f1, f2), g))
+
+    def right(c, g1, g2, f):
+        o = getattr(c, op)
+        return c.leq(o(f, g1), o(f, c.join(g1, g2)))
+
+    return left, right
+
+
+_MULT_SHAPES = ("chain3", "chain1", "chain1", "fork-left", "fork-right",
+                "chain1", "chain1")
+
+# label -> (shape, law); a law takes the calculus and the cells of its
+# shape, in slot order, and returns whether it holds on them.
+LAWS: dict[str, tuple[str, Law]] = {
+    label: (shape, law)
+    for labels, shapes, laws in (
+        (LAW_GROUPS["quantale"], _MULT_SHAPES,
+         _multiplication_laws("tensor", "join", "zero", "id_top")),
+        (LAW_GROUPS["op-quantale"], _MULT_SHAPES,
+         _multiplication_laws("par", "meet", "top", "id_bot")),
+        (LAW_GROUPS["linear-distribution"], ("chain3", "chain3"),
+         (_distribution_left, _distribution_right)),
+        (LAW_GROUPS["posetal-functoriality"],
+         ("fork-left", "fork-right", "fork-left", "fork-right"),
+         _monotone_laws("tensor") + _monotone_laws("par")),
+    )
+    for label, shape, law in zip(labels, shapes, laws, strict=True)
+}

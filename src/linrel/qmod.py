@@ -9,6 +9,7 @@ mixed inequalities, and compose in two ways with mixed-order 2-cells
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -19,6 +20,7 @@ from .errors import (
     NoParStructureError,
     NotGirardError,
 )
+from .laws import LAWS, Calculus
 from .quantaloid import (
     FiniteQuantaloid,
     check_girard_family,
@@ -679,122 +681,22 @@ def enumerate_qbimodules(M: QCategory, N: QCategory, linear: bool = False,
 # ---------------------------------------------------------------------------
 # Linear theorem driver
 
-_QMOD_LAWS = (
-    "tensor-associativity", "tensor-unit-left", "tensor-unit-right",
-    "tensor-sup-left", "tensor-sup-right",
-    "tensor-bottom-left", "tensor-bottom-right",
-    "par-associativity", "par-unit-left", "par-unit-right",
-    "par-inf-left", "par-inf-right", "par-top-left", "par-top-right",
-    "linear-distribution-left", "linear-distribution-right",
-    "tensor-monotone-left", "tensor-monotone-right",
-    "par-monotone-left", "par-monotone-right",
+QMOD_CALCULUS = Calculus(
+    # Compositions are looked up at call time, so a rebinding of the module
+    # functions (such as a tracing wrapper) also sees the law suite's calls.
+    tensor=lambda f, g: qmod_compose_tensor(f, g),
+    par=lambda f, g: qmod_compose_par(f, g),
+    id_top=lambda f, M: identity_bimodule(M),
+    id_bot=lambda f, M: par_identity_bimodule(M),
+    zero=lambda f, M, N: zero_bimodule(M, N, f.is_linear),
+    top=lambda f, M, N: top_bimodule(M, N, f.is_linear),
+    join=bim_join,
+    meet=bim_meet,
+    leq=bim_leq,
+    eq=operator.eq,
+    source=operator.attrgetter("source"),
+    target=operator.attrgetter("target"),
 )
-
-
-def _qmod_law_holds(label: str, rels: Sequence[QBimodule]) -> bool:
-    if label == "tensor-associativity":
-        f, g, h = rels
-        lhs = qmod_compose_tensor(qmod_compose_tensor(f, g), h)
-        rhs = qmod_compose_tensor(f, qmod_compose_tensor(g, h))
-        return lhs == rhs
-    if label == "par-associativity":
-        f, g, h = rels
-        lhs = qmod_compose_par(qmod_compose_par(f, g), h)
-        rhs = qmod_compose_par(f, qmod_compose_par(g, h))
-        return lhs == rhs
-    if label == "tensor-unit-left":
-        (f,) = rels
-        return qmod_compose_tensor(identity_bimodule(f.source), f) == f
-    if label == "tensor-unit-right":
-        (f,) = rels
-        return qmod_compose_tensor(f, identity_bimodule(f.target)) == f
-    if label == "par-unit-left":
-        (f,) = rels
-        return qmod_compose_par(par_identity_bimodule(f.source), f) == f
-    if label == "par-unit-right":
-        (f,) = rels
-        return qmod_compose_par(f, par_identity_bimodule(f.target)) == f
-    if label == "linear-distribution-left":
-        f, g, h = rels
-        lhs = qmod_compose_tensor(f, qmod_compose_par(g, h))
-        rhs = qmod_compose_par(qmod_compose_tensor(f, g), h)
-        return bim_leq(lhs, rhs)
-    if label == "linear-distribution-right":
-        f, g, h = rels
-        lhs = qmod_compose_tensor(qmod_compose_par(f, g), h)
-        rhs = qmod_compose_par(f, qmod_compose_tensor(g, h))
-        return bim_leq(lhs, rhs)
-    if label == "tensor-sup-left":
-        f1, f2, g = rels
-        lhs = qmod_compose_tensor(bim_join(f1, f2), g)
-        rhs = bim_join(qmod_compose_tensor(f1, g), qmod_compose_tensor(f2, g))
-        return lhs == rhs
-    if label == "tensor-sup-right":
-        g1, g2, f = rels
-        lhs = qmod_compose_tensor(f, bim_join(g1, g2))
-        rhs = bim_join(qmod_compose_tensor(f, g1), qmod_compose_tensor(f, g2))
-        return lhs == rhs
-    if label == "par-inf-left":
-        f1, f2, g = rels
-        lhs = qmod_compose_par(bim_meet(f1, f2), g)
-        rhs = bim_meet(qmod_compose_par(f1, g), qmod_compose_par(f2, g))
-        return lhs == rhs
-    if label == "par-inf-right":
-        g1, g2, f = rels
-        lhs = qmod_compose_par(f, bim_meet(g1, g2))
-        rhs = bim_meet(qmod_compose_par(f, g1), qmod_compose_par(f, g2))
-        return lhs == rhs
-    if label == "tensor-bottom-left":
-        (f,) = rels
-        z = zero_bimodule(f.source, f.source, f.is_linear)
-        return qmod_compose_tensor(z, f) == zero_bimodule(f.source, f.target,
-                                                          f.is_linear)
-    if label == "tensor-bottom-right":
-        (f,) = rels
-        z = zero_bimodule(f.target, f.target, f.is_linear)
-        return qmod_compose_tensor(f, z) == zero_bimodule(f.source, f.target,
-                                                          f.is_linear)
-    if label == "par-top-left":
-        (f,) = rels
-        t = top_bimodule(f.source, f.source, f.is_linear)
-        return qmod_compose_par(t, f) == top_bimodule(f.source, f.target,
-                                                      f.is_linear)
-    if label == "par-top-right":
-        (f,) = rels
-        t = top_bimodule(f.target, f.target, f.is_linear)
-        return qmod_compose_par(f, t) == top_bimodule(f.source, f.target,
-                                                      f.is_linear)
-    if label == "tensor-monotone-left":
-        f1, f2, g = rels
-        return bim_leq(qmod_compose_tensor(f1, g),
-                       qmod_compose_tensor(bim_join(f1, f2), g))
-    if label == "tensor-monotone-right":
-        g1, g2, f = rels
-        return bim_leq(qmod_compose_tensor(f, g1),
-                       qmod_compose_tensor(f, bim_join(g1, g2)))
-    if label == "par-monotone-left":
-        f1, f2, g = rels
-        return bim_leq(qmod_compose_par(f1, g),
-                       qmod_compose_par(bim_join(f1, f2), g))
-    if label == "par-monotone-right":
-        g1, g2, f = rels
-        return bim_leq(qmod_compose_par(f, g1),
-                       qmod_compose_par(f, bim_join(g1, g2)))
-    raise AssertionError(label)
-
-
-_SHAPES = {
-    "tensor-associativity": "chain3", "par-associativity": "chain3",
-    "linear-distribution-left": "chain3", "linear-distribution-right": "chain3",
-    "tensor-unit-left": "chain1", "tensor-unit-right": "chain1",
-    "par-unit-left": "chain1", "par-unit-right": "chain1",
-    "tensor-bottom-left": "chain1", "tensor-bottom-right": "chain1",
-    "par-top-left": "chain1", "par-top-right": "chain1",
-    "tensor-sup-left": "fork-left", "tensor-sup-right": "fork-right",
-    "par-inf-left": "fork-left", "par-inf-right": "fork-right",
-    "tensor-monotone-left": "fork-left", "tensor-monotone-right": "fork-right",
-    "par-monotone-left": "fork-left", "par-monotone-right": "fork-right",
-}
 
 
 def sample_linear_categories(base: FiniteQuantaloid, sizes: Sequence[int] = (1, 2),
@@ -877,8 +779,7 @@ def verify_linear_qmod_theorem(base: FiniteQuantaloid, sampler: Sampler,
                 p_ij[rng.randrange(len(p_ij))])
 
     fail_by_label: dict[str, dict | None] = {}
-    for label in _QMOD_LAWS:
-        shape = _SHAPES[label]
+    for label, (shape, law) in LAWS.items():
         wit = None
         for _ in range(sampler.count):
             if shape == "chain1":
@@ -889,7 +790,7 @@ def verify_linear_qmod_theorem(base: FiniteQuantaloid, sampler: Sampler,
                 case = draw_fork(shape == "fork-left")
             if case is None:
                 continue
-            if not _qmod_law_holds(label, case):
+            if not law(QMOD_CALCULUS, *case):
                 wit = {"bimodules": [[list(r) for r in b.values_tensor]
                                      for b in case]}
                 break

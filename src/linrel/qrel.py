@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 from typing import Any, Iterator, Sequence
 
 from .errors import (
@@ -19,6 +20,7 @@ from .errors import (
     NoParStructureError,
     NotGirardError,
 )
+from .laws import LAWS, SHAPE_SLOTS, Calculus
 from .quantale import MINUS_INF, PLUS_INF, Elem
 from .report import LawReport, Sampler, law_entry
 
@@ -85,35 +87,25 @@ def _require_composable(f: QRelation, g: QRelation) -> None:
         raise MismatchError("relations live over different quantales")
 
 
+def _compose(f: QRelation, g: QRelation, kernel, op, agg) -> QRelation:
+    """``agg`` over the middle set of pointwise ``op`` products; ``kernel``
+    is the ambient's FoldKernel for the pair, or None on ZInt backends."""
+    if kernel is None:
+        gv, ny, nz = g.values, len(f.target), len(g.target)
+        vals = tuple(tuple(agg([op(frow[y], gv[y][z]) for y in range(ny)])
+                           for z in range(nz))
+                     for frow in f.values)
+    else:
+        vals = kernel.compose(f.values, g.values, len(g.target))
+    return QRelation(f.source, g.target, f.ambient, vals)
+
+
 def compose_tensor(f: QRelation, g: QRelation) -> QRelation:
     """Join over the middle set of pointwise tensor products."""
     _require_composable(f, g)
     amb = f.ambient
-    gv = g.values
-    ny = len(f.target)
-    nz = len(g.target)
-    tm = getattr(amb, "tensor_map", None)
-    jm = getattr(amb, "join_map", None)
-    if tm is not None and jm is not None:
-        bot = amb.bottom
-        rows = []
-        for frow in f.values:
-            row = []
-            for z in range(nz):
-                acc = bot
-                for y in range(ny):
-                    acc = jm[acc][tm[frow[y]][gv[y][z]]]
-                row.append(acc)
-            rows.append(tuple(row))
-        vals = tuple(rows)
-    else:
-        t = amb.tensor
-        jn = amb.join
-        vals = tuple(
-            tuple(jn([t(frow[y], gv[y][z]) for y in range(ny)])
-                  for z in range(nz))
-            for frow in f.values)
-    return QRelation(f.source, g.target, amb, vals)
+    return _compose(f, g, getattr(amb, "tensor_fold", None), amb.tensor,
+                    amb.join)
 
 
 def compose_par(f: QRelation, g: QRelation) -> QRelation:
@@ -121,31 +113,7 @@ def compose_par(f: QRelation, g: QRelation) -> QRelation:
     _require_composable(f, g)
     _require_par(f.ambient)
     amb = f.ambient
-    gv = g.values
-    ny = len(f.target)
-    nz = len(g.target)
-    pm = getattr(amb, "par_map", None)
-    mm = getattr(amb, "meet_map", None)
-    if pm is not None and mm is not None:
-        top = amb.top
-        rows = []
-        for frow in f.values:
-            row = []
-            for z in range(nz):
-                acc = top
-                for y in range(ny):
-                    acc = mm[acc][pm[frow[y]][gv[y][z]]]
-                row.append(acc)
-            rows.append(tuple(row))
-        vals = tuple(rows)
-    else:
-        p = amb.par
-        mt = amb.meet
-        vals = tuple(
-            tuple(mt([p(frow[y], gv[y][z]) for y in range(ny)])
-                  for z in range(nz))
-            for frow in f.values)
-    return QRelation(f.source, g.target, amb, vals)
+    return _compose(f, g, getattr(amb, "par_fold", None), amb.par, amb.meet)
 
 
 def id_top(X: FiniteSet, amb: Ambient) -> QRelation:
@@ -309,21 +277,22 @@ def random_relation(rng, amb: Ambient, X: FiniteSet, Y: FiniteSet,
 
 
 def sample_relation_tuples(amb: Ambient, sets: Sequence[FiniteSet],
-                           sampler: Sampler, n_points: int,
+                           sampler: Sampler, shape: str,
                            ) -> tuple[str, list[tuple[QRelation, ...]]]:
-    """Composable relation tuples along a chain of ``n_points`` sets.
+    """Relation tuples laid out by a law shape (see ``SHAPE_SLOTS``).
 
     Exhaustive when the finite carrier keeps every slot under the per-slot
     cap and the full tuple count under the budget; otherwise seeded random.
     Returns the sample mode label together with the realized cases.
     """
+    slots = SHAPE_SLOTS[shape]
+    n_points = 1 + max(j for _, j in slots)
     boundaries = list(product(sets, repeat=n_points))
     total = 0
     exhaustive_ok = amb.carrier.is_finite
     if exhaustive_ok:
         for bnd in boundaries:
-            slot_counts = [count_relations(amb, bnd[i], bnd[i + 1])
-                           for i in range(n_points - 1)]
+            slot_counts = [count_relations(amb, bnd[i], bnd[j]) for i, j in slots]
             if any(c > sampler.slot_cap for c in slot_counts):
                 exhaustive_ok = False
                 break
@@ -337,230 +306,48 @@ def sample_relation_tuples(amb: Ambient, sets: Sequence[FiniteSet],
     if exhaustive_ok and sampler.mode == "exhaustive":
         cases = []
         for bnd in boundaries:
-            slots = [list(enumerate_relations(amb, bnd[i], bnd[i + 1]))
-                     for i in range(n_points - 1)]
-            cases.extend(product(*slots))
-        return sampler.exhaustive_label(), [tuple(c) for c in cases]
+            # parallel slots share one enumeration
+            pools = {(i, j): list(enumerate_relations(amb, bnd[i], bnd[j]))
+                     for i, j in dict.fromkeys(slots)}
+            cases.extend(product(*(pools[slot] for slot in slots)))
+        return sampler.exhaustive_label(), cases
     rng = sampler.rng()
     cases = []
     for _ in range(sampler.count):
         bnd = boundaries[rng.randrange(len(boundaries))]
         cases.append(tuple(
-            random_relation(rng, amb, bnd[i], bnd[i + 1],
+            random_relation(rng, amb, bnd[i], bnd[j],
                             sampler.window, sampler.inf_weight)
-            for i in range(n_points - 1)))
+            for i, j in slots))
     return sampler.random_label(), cases
 
 
 # ---------------------------------------------------------------------------
 # Relation-level law suite
 
-# Each law maps to (number of chained sets, predicate).  Predicates receive
-# the composable relation tuple and must be pure so the shrinker can replay
-# them.
+QREL_CALCULUS = Calculus(
+    # Compositions are looked up at call time, so a rebinding of the module
+    # functions (such as a tracing wrapper) also sees the law suites' calls.
+    tensor=lambda f, g: compose_tensor(f, g),
+    par=lambda f, g: compose_par(f, g),
+    id_top=lambda f, X: id_top(X, f.ambient),
+    id_bot=lambda f, X: id_bot(X, f.ambient),
+    zero=lambda f, X, Y: zero_relation(X, Y, f.ambient),
+    top=lambda f, X, Y: top_relation(X, Y, f.ambient),
+    join=rel_join,
+    meet=rel_meet,
+    leq=rel_leq,
+    eq=lambda f, g: f.values == g.values,
+    source=attrgetter("source"),
+    target=attrgetter("target"),
+)
 
-def _law_tensor_assoc(rels):
-    f, g, h = rels
-    return compose_tensor(compose_tensor(f, g), h).values == \
-        compose_tensor(f, compose_tensor(g, h)).values
-
-
-def _law_tensor_unit_left(rels):
-    (f,) = rels
-    return compose_tensor(id_top(f.source, f.ambient), f).values == f.values
-
-
-def _law_tensor_unit_right(rels):
-    (f,) = rels
-    return compose_tensor(f, id_top(f.target, f.ambient)).values == f.values
-
-
-def _law_par_assoc(rels):
-    f, g, h = rels
-    return compose_par(compose_par(f, g), h).values == \
-        compose_par(f, compose_par(g, h)).values
-
-
-def _law_par_unit_left(rels):
-    (f,) = rels
-    return compose_par(id_bot(f.source, f.ambient), f).values == f.values
-
-
-def _law_par_unit_right(rels):
-    (f,) = rels
-    return compose_par(f, id_bot(f.target, f.ambient)).values == f.values
-
-
-def _law_distribution_left(rels):
-    f, g, h = rels
-    lhs = compose_tensor(f, compose_par(g, h))
-    rhs = compose_par(compose_tensor(f, g), h)
-    return rel_leq(lhs, rhs)
-
-
-def _law_distribution_right(rels):
-    f, g, h = rels
-    lhs = compose_tensor(compose_par(f, g), h)
-    rhs = compose_par(f, compose_tensor(g, h))
-    return rel_leq(lhs, rhs)
-
-
-def _law_tensor_sup_left(rels):
-    f1, f2, g = rels
-    lhs = compose_tensor(rel_join(f1, f2), g)
-    rhs = rel_join(compose_tensor(f1, g), compose_tensor(f2, g))
-    return lhs.values == rhs.values
-
-
-def _law_tensor_sup_right(rels):
-    g1, g2, f = rels
-    lhs = compose_tensor(f, rel_join(g1, g2))
-    rhs = rel_join(compose_tensor(f, g1), compose_tensor(f, g2))
-    return lhs.values == rhs.values
-
-
-def _law_par_inf_left(rels):
-    f1, f2, g = rels
-    lhs = compose_par(rel_meet(f1, f2), g)
-    rhs = rel_meet(compose_par(f1, g), compose_par(f2, g))
-    return lhs.values == rhs.values
-
-
-def _law_par_inf_right(rels):
-    g1, g2, f = rels
-    lhs = compose_par(f, rel_meet(g1, g2))
-    rhs = rel_meet(compose_par(f, g1), compose_par(f, g2))
-    return lhs.values == rhs.values
-
-
-def _law_tensor_bottom_left(rels):
-    (f,) = rels
-    z = zero_relation(f.source, f.source, f.ambient)
-    return compose_tensor(z, f).values == \
-        zero_relation(f.source, f.target, f.ambient).values
-
-
-def _law_tensor_bottom_right(rels):
-    (f,) = rels
-    z = zero_relation(f.target, f.target, f.ambient)
-    return compose_tensor(f, z).values == \
-        zero_relation(f.source, f.target, f.ambient).values
-
-
-def _law_par_top_left(rels):
-    (f,) = rels
-    t = top_relation(f.source, f.source, f.ambient)
-    return compose_par(t, f).values == \
-        top_relation(f.source, f.target, f.ambient).values
-
-
-def _law_par_top_right(rels):
-    (f,) = rels
-    t = top_relation(f.target, f.target, f.ambient)
-    return compose_par(f, t).values == \
-        top_relation(f.source, f.target, f.ambient).values
-
-
-def _law_tensor_monotone_left(rels):
-    f1, f2, g = rels
-    return rel_leq(compose_tensor(f1, g), compose_tensor(rel_join(f1, f2), g))
-
-
-def _law_tensor_monotone_right(rels):
-    g1, g2, f = rels
-    return rel_leq(compose_tensor(f, g1), compose_tensor(f, rel_join(g1, g2)))
-
-
-def _law_par_monotone_left(rels):
-    f1, f2, g = rels
-    return rel_leq(compose_par(f1, g), compose_par(rel_join(f1, f2), g))
-
-
-def _law_par_monotone_right(rels):
-    g1, g2, f = rels
-    return rel_leq(compose_par(f, g1), compose_par(f, rel_join(g1, g2)))
-
-
-# shape "chain": n composable relations along X0 -> X1 -> ... ;
-# shape "fork-left": two parallel relations X0 -> X1 plus one X1 -> X2;
-# shape "fork-right": two parallel relations X1 -> X2 plus one X0 -> X1.
+# label -> (shape, predicate on the composable relation tuple).  Predicates
+# are pure so the shrinker can replay them.
 REL_LAW_SPECS: dict[str, tuple[str, Any]] = {
-    "tensor-associativity": ("chain3", _law_tensor_assoc),
-    "tensor-unit-left": ("chain1", _law_tensor_unit_left),
-    "tensor-unit-right": ("chain1", _law_tensor_unit_right),
-    "tensor-sup-left": ("fork-left", _law_tensor_sup_left),
-    "tensor-sup-right": ("fork-right", _law_tensor_sup_right),
-    "tensor-bottom-left": ("chain1", _law_tensor_bottom_left),
-    "tensor-bottom-right": ("chain1", _law_tensor_bottom_right),
-    "par-associativity": ("chain3", _law_par_assoc),
-    "par-unit-left": ("chain1", _law_par_unit_left),
-    "par-unit-right": ("chain1", _law_par_unit_right),
-    "par-inf-left": ("fork-left", _law_par_inf_left),
-    "par-inf-right": ("fork-right", _law_par_inf_right),
-    "par-top-left": ("chain1", _law_par_top_left),
-    "par-top-right": ("chain1", _law_par_top_right),
-    "linear-distribution-left": ("chain3", _law_distribution_left),
-    "linear-distribution-right": ("chain3", _law_distribution_right),
-    "tensor-monotone-left": ("fork-left", _law_tensor_monotone_left),
-    "tensor-monotone-right": ("fork-right", _law_tensor_monotone_right),
-    "par-monotone-left": ("fork-left", _law_par_monotone_left),
-    "par-monotone-right": ("fork-right", _law_par_monotone_right),
+    label: (shape, lambda rels, law=law: law(QREL_CALCULUS, *rels))
+    for label, (shape, law) in LAWS.items()
 }
-
-
-def _sample_forks(amb, sets, sampler: Sampler, left: bool):
-    """Two parallel relations plus a composable third.
-
-    ``left=True`` yields (f1: X->Y, f2: X->Y, g: Y->Z); otherwise
-    (g1: Y->Z, g2: Y->Z, f: X->Y).
-    """
-    boundaries = list(product(sets, repeat=3))
-    exhaustive_ok = amb.carrier.is_finite
-    total = 0
-    if exhaustive_ok:
-        for X, Y, Z in boundaries:
-            c_xy = count_relations(amb, X, Y)
-            c_yz = count_relations(amb, Y, Z)
-            if max(c_xy, c_yz) > sampler.slot_cap:
-                exhaustive_ok = False
-                break
-            total += c_xy * c_xy * c_yz if left else c_yz * c_yz * c_xy
-            if total > sampler.tuple_budget:
-                exhaustive_ok = False
-                break
-    if exhaustive_ok and sampler.mode == "exhaustive":
-        cases = []
-        for X, Y, Z in boundaries:
-            firsts = list(enumerate_relations(amb, X, Y))
-            seconds = list(enumerate_relations(amb, Y, Z))
-            if left:
-                cases.extend(product(firsts, firsts, seconds))
-            else:
-                cases.extend(product(seconds, seconds, firsts))
-        return sampler.exhaustive_label(), [tuple(c) for c in cases]
-    rng = sampler.rng()
-    cases = []
-    for _ in range(sampler.count):
-        X, Y, Z = boundaries[rng.randrange(len(boundaries))]
-        draw = lambda A, B: random_relation(rng, amb, A, B,
-                                            sampler.window, sampler.inf_weight)
-        if left:
-            cases.append((draw(X, Y), draw(X, Y), draw(Y, Z)))
-        else:
-            cases.append((draw(Y, Z), draw(Y, Z), draw(X, Y)))
-    return sampler.random_label(), cases
-
-
-def _cases_for_shape(amb, sets, sampler, shape):
-    if shape == "chain1":
-        return sample_relation_tuples(amb, sets, sampler, 2)
-    if shape == "chain3":
-        return sample_relation_tuples(amb, sets, sampler, 4)
-    if shape == "fork-left":
-        return _sample_forks(amb, sets, sampler, True)
-    if shape == "fork-right":
-        return _sample_forks(amb, sets, sampler, False)
-    raise AssertionError(shape)
 
 
 def _shrink_case(rels: tuple[QRelation, ...], pred) -> tuple[QRelation, ...]:
@@ -651,7 +438,7 @@ def verify_qrel_laws(amb: Ambient, sets: Sequence[FiniteSet], sampler: Sampler,
     entries = []
     for label in labels:
         shape, pred = REL_LAW_SPECS[label]
-        mode, cases = _cases_for_shape(amb, sets, sampler, shape)
+        mode, cases = sample_relation_tuples(amb, sets, sampler, shape)
         wit = None
         for case in cases:
             if not pred(case):
@@ -670,7 +457,7 @@ def check_girard_qrel(amb: Ambient, sets: Sequence[FiniteSet], sampler: Sampler,
         d = getattr(amb, "dualizer", None)
         if d is None:
             raise NotGirardError("check needs a dualizer")
-    mode, cases = sample_relation_tuples(amb, sets, sampler, 2)
+    mode, cases = sample_relation_tuples(amb, sets, sampler, "chain1")
 
     def cyclic(rels):
         (r,) = rels
@@ -729,21 +516,11 @@ def transfer_quantale_witness(amb: Ambient, label: str, witness: dict) -> tuple[
 # JSON interface
 
 
-def _encode_entry(v: Elem) -> Any:
-    return v
-
-
-def _decode_entry(v: Any) -> Elem:
-    if isinstance(v, str) and v not in (PLUS_INF, MINUS_INF):
-        return v
-    return v
-
-
 def relation_to_json(r: QRelation) -> dict:
     return {
         "source": {"name": r.source.name, "members": list(r.source.members)},
         "target": {"name": r.target.name, "members": list(r.target.members)},
-        "values": [[_encode_entry(v) for v in row] for row in r.values],
+        "values": [list(row) for row in r.values],
     }
 
 
@@ -754,4 +531,4 @@ def relation_from_json(obj: dict, amb: Ambient) -> QRelation:
         rows = obj["values"]
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"relation file is missing field: {exc}") from None
-    return relation(src, tgt, amb, [[_decode_entry(v) for v in row] for row in rows])
+    return relation(src, tgt, amb, rows)

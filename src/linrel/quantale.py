@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     UnknownElementError,
 )
 from .lattice import FiniteLattice, build_lattice
-from .report import LawEntry, LawReport, law_entry
+from .report import LAW_GROUPS, LawEntry, LawReport, law_entry
 
 Elem = Any  # str for finite carriers, int or an infinity marker for ZInt
 
@@ -159,17 +160,80 @@ class ZIntOp:
         return a + b - self.shift
 
 
-@dataclass(frozen=True)
-class Quantale:
-    """A carrier with an associative, join-preserving multiplication."""
+# A middle-set length is tabulated by FoldKernel when the carrier has at
+# most this many vectors of that length; its tables then hold at most
+# FOLD_VECTORS**2 elements.
+FOLD_VECTORS = 64
 
-    carrier: FiniteCarrier | ZIntCarrier
-    op: TableOp | ZIntOp
-    unit: Elem
 
-    has_par = False
+class FoldKernel:
+    """Matrix products over finite tables: entry (x, z) folds
+    ``fold[acc][prod[f[x][y]][g[y][z]]]`` over y, starting from ``start``.
 
-    # -- order plumbing, delegated to the carrier ------------------------
+    For a tabulated length each column of g is coded as its index among
+    all vectors of that length, and each row of f is folded against all of
+    them on first use, so an entry is one lookup.  Other lengths, and
+    single columns, fold entry by entry.
+    """
+
+    def __init__(self, prod: dict, fold: dict, start: Elem):
+        self.prod, self.fold, self.start = prod, fold, start
+        # length -> (column codes, all vectors, row -> folds), or None
+        self._tables: dict[int, tuple[dict, list, dict] | None] = {}
+
+    def fold_row(self, row: Sequence[Elem],
+                 cols: Sequence[Sequence[Elem]]) -> tuple[Elem, ...]:
+        fold, start = self.fold, self.start
+        ps = [self.prod[a] for a in row]
+        out = []
+        for col in cols:
+            acc = start
+            for p, b in zip(ps, col):
+                acc = fold[acc][p[b]]
+            out.append(acc)
+        return tuple(out)
+
+    def _tabulated(self, n: int) -> tuple[dict, list, dict] | None:
+        if n not in self._tables:
+            self._tables[n] = None
+            if len(self.prod) ** n <= FOLD_VECTORS:
+                vectors = list(product(self.prod, repeat=n))
+                codes = {v: i for i, v in enumerate(vectors)}
+                self._tables[n] = (codes, vectors, {})
+        return self._tables[n]
+
+    def compose(self, fv: Sequence[tuple], gv: Sequence[tuple],
+                nz: int) -> tuple[tuple[Elem, ...], ...]:
+        cols = list(zip(*gv)) if gv else [()] * nz
+        tables = self._tabulated(len(gv)) if nz > 1 else None
+        if tables is None:
+            return tuple(self.fold_row(r, cols) for r in fv)
+        codes, vectors, rows = tables
+        pick = itemgetter(*map(codes.__getitem__, cols))
+        out = []
+        for r in fv:
+            folds = rows.get(r)
+            if folds is None:
+                folds = rows[r] = self.fold_row(r, vectors)
+            out.append(pick(folds))
+        return tuple(out)
+
+
+class CarrierOrder:
+    """Plumbing shared by the ambient structures: the order operations
+    read ``self.carrier``; the fold kernels serve relation composition."""
+
+    @cached_property
+    def tensor_fold(self) -> FoldKernel | None:
+        """Join of tensor products, or None for ZInt backends."""
+        tm, jm = self.tensor_map, self.join_map
+        return None if tm is None or jm is None else FoldKernel(tm, jm, self.bottom)
+
+    @cached_property
+    def par_fold(self) -> FoldKernel | None:
+        """Meet of par products, or None without a finite par table."""
+        pm, mm = getattr(self, "par_map", None), self.meet_map
+        return None if pm is None or mm is None else FoldKernel(pm, mm, self.top)
 
     def contains(self, v: Elem) -> bool:
         return self.carrier.contains(v)
@@ -193,6 +257,17 @@ class Quantale:
 
     def sample_elements(self, window: int = 10) -> list[Elem]:
         return self.carrier.sample_elements(window)
+
+
+@dataclass(frozen=True)
+class Quantale(CarrierOrder):
+    """A carrier with an associative, join-preserving multiplication."""
+
+    carrier: FiniteCarrier | ZIntCarrier
+    op: TableOp | ZIntOp
+    unit: Elem
+
+    has_par = False
 
     # -- multiplication and residuals ------------------------------------
 
@@ -303,7 +378,7 @@ def arctic_quantale() -> Quantale:
 
 
 @dataclass(frozen=True)
-class GirardQuantale:
+class GirardQuantale(CarrierOrder):
     """A quantale with a chosen cyclic dualizing element."""
 
     base: Quantale
@@ -311,7 +386,7 @@ class GirardQuantale:
 
     has_par = True
 
-    @property
+    @cached_property
     def carrier(self):
         return self.base.carrier
 
@@ -322,29 +397,6 @@ class GirardQuantale:
     @property
     def par_unit(self) -> Elem:
         return self.dualizer
-
-    def contains(self, v):
-        return self.base.contains(v)
-
-    def leq(self, a, b):
-        return self.base.leq(a, b)
-
-    def join(self, items):
-        return self.base.join(items)
-
-    def meet(self, items):
-        return self.base.meet(items)
-
-    @property
-    def bottom(self):
-        return self.base.bottom
-
-    @property
-    def top(self):
-        return self.base.top
-
-    def sample_elements(self, window: int = 10):
-        return self.base.sample_elements(window)
 
     def tensor(self, a, b):
         return self.base.tensor(a, b)
@@ -418,7 +470,7 @@ def girard_quantale(base: Quantale, dualizer: Elem,
 
 
 @dataclass(frozen=True)
-class LDQuantale:
+class LDQuantale(CarrierOrder):
     """A lattice carrying a tensor quantale and a par quantale.
 
     ``par_part`` lives on the opposite carrier, so its joins are the
@@ -431,7 +483,7 @@ class LDQuantale:
 
     has_par = True
 
-    @property
+    @cached_property
     def carrier(self):
         return self.tensor_part.carrier
 
@@ -442,29 +494,6 @@ class LDQuantale:
     @property
     def par_unit(self) -> Elem:
         return self.par_part.unit
-
-    def contains(self, v):
-        return self.tensor_part.contains(v)
-
-    def leq(self, a, b):
-        return self.tensor_part.leq(a, b)
-
-    def join(self, items):
-        return self.tensor_part.join(items)
-
-    def meet(self, items):
-        return self.tensor_part.meet(items)
-
-    @property
-    def bottom(self):
-        return self.tensor_part.bottom
-
-    @property
-    def top(self):
-        return self.tensor_part.top
-
-    def sample_elements(self, window: int = 10):
-        return self.tensor_part.sample_elements(window)
 
     def tensor(self, a, b):
         return self.tensor_part.tensor(a, b)
@@ -495,13 +524,6 @@ class LDQuantale:
         return self.tensor_part.meet_map
 
 
-def ld_quantale(tensor_part: Quantale, par_part: Quantale) -> LDQuantale:
-    """Pair two quantales after checking they share a carrier, order-reversed."""
-    if tensor_part.carrier.opposite() != par_part.carrier:
-        raise StructureError("par part must live on the opposite carrier")
-    return LDQuantale(tensor_part=tensor_part, par_part=par_part)
-
-
 def girard_to_ld(g: GirardQuantale) -> LDQuantale:
     """Package a Girard quantale as tensor plus derived par."""
     if g.carrier.is_finite:
@@ -524,25 +546,8 @@ def opposite_quantale(ld: LDQuantale) -> LDQuantale:
 # ---------------------------------------------------------------------------
 # Law suites
 
-_TENSOR_LABELS = (
-    "tensor-associativity",
-    "tensor-unit-left",
-    "tensor-unit-right",
-    "tensor-sup-left",
-    "tensor-sup-right",
-    "tensor-bottom-left",
-    "tensor-bottom-right",
-)
-
-_PAR_LABELS = (
-    "par-associativity",
-    "par-unit-left",
-    "par-unit-right",
-    "par-inf-left",
-    "par-inf-right",
-    "par-top-left",
-    "par-top-right",
-)
+_TENSOR_LABELS = LAW_GROUPS["quantale"]
+_PAR_LABELS = LAW_GROUPS["op-quantale"]
 
 
 def _mult_law_entries(q: Quantale, sample: Sequence[Elem],

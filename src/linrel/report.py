@@ -207,13 +207,6 @@ class LawReport:
         return "\n".join(lines)
 
 
-def merge_reports(suite: str, *reports: LawReport) -> LawReport:
-    entries: list[LawEntry] = []
-    for r in reports:
-        entries.extend(r.entries)
-    return LawReport(suite=suite, entries=tuple(entries))
-
-
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
 

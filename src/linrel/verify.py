@@ -9,9 +9,9 @@ counterexamples through one-point structures for the backward direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import MismatchError, NotGirardError, UnknownElementError
 from .lattice import build_lattice, chain
@@ -226,77 +226,83 @@ def _swap_table(q: Quantale, a: str, b: str, value: str) -> Quantale:
                     unit=q.unit)
 
 
-def build_catalog(window: int = 10) -> dict[str, CatalogEntry]:
-    """Construct every built-in structure and derive its classification."""
-    entries: dict[str, CatalogEntry] = {}
+def _broken(good: str, part: str, a: str, b: str, value: str):
+    """Builder for entry ``good`` with entry (a, b) of its ``part`` table
+    set to ``value``."""
+    def build(base):
+        ld = base(good)
+        return replace(ld, **{part: _swap_table(getattr(ld, part), a, b, value)})
+    return build
 
-    def add(name: str, ld: LDQuantale) -> None:
-        entries[name] = _classify(name, ld, window)
 
-    point = _frame_ld(build_lattice(["p"], []))
-    add("point", point)
-
-    add("bool", _frame_ld(chain(["0", "1"])))
-    add("chain3", _frame_ld(chain(["0", "m", "1"])))
-    add("diamond", _frame_ld(build_lattice(
+# One builder per entry, in catalog order.  ``base`` returns the structure
+# of an earlier entry, so each entry can be built on its own.
+_BUILDERS: dict[str, Callable[[Callable[[str], LDQuantale]], LDQuantale]] = {
+    "point": lambda base: _frame_ld(build_lattice(["p"], [])),
+    "bool": lambda base: _frame_ld(chain(["0", "1"])),
+    "chain3": lambda base: _frame_ld(chain(["0", "m", "1"])),
+    "diamond": lambda base: _frame_ld(build_lattice(
         ["0", "x", "y", "1"],
-        [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")])))
-
-    add("z2shift", shift_completion(["e", "a"], [["e", "a"], ["a", "e"]], "a"))
-    z3_names, z3_table = cyclic_group_table(3)
-    add("z3shift", shift_completion(z3_names, z3_table, "g1"))
-
-    trop = tropical_quantale()
-    trop_girard = GirardQuantale(base=trop, dualizer=0)
-    trop_ld = girard_to_ld(trop_girard)
-    add("zinf-tropical", trop_ld)
-    add("zinf-arctic", opposite_quantale(trop_ld))
-
+        [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")])),
+    "z2shift": lambda base: shift_completion(
+        ["e", "a"], [["e", "a"], ["a", "e"]], "a"),
+    "z3shift": lambda base: shift_completion(*cyclic_group_table(3), "g1"),
+    "zinf-tropical": lambda base: girard_to_ld(
+        GirardQuantale(base=tropical_quantale(), dualizer=0)),
+    "zinf-arctic": lambda base: opposite_quantale(base("zinf-tropical")),
     # Broken variants: one law perturbed each.
-    good = entries["bool"].ld
-    add("bool-broken", LDQuantale(
-        tensor_part=_swap_table(good.tensor_part, "1", "1", "0"),
-        par_part=good.par_part))
-
-    good = entries["chain3"].ld
-    add("chain3-broken", LDQuantale(
-        tensor_part=good.tensor_part,
-        par_part=_swap_table(good.par_part, "0", "m", "1")))
-
-    good = entries["diamond"].ld
-    add("diamond-broken", LDQuantale(
-        tensor_part=_swap_table(good.tensor_part, "x", "y", "1"),
-        par_part=good.par_part))
-
-    good = entries["z2shift"].ld
-    add("z2shift-broken", LDQuantale(
-        tensor_part=good.tensor_part,
-        par_part=_swap_table(good.par_part, "e", "e", "e")))
-
-    good = entries["z3shift"].ld
-    add("z3shift-broken", LDQuantale(
-        tensor_part=_swap_table(good.tensor_part, "e", "g1", "e"),
-        par_part=good.par_part))
-
-    add("zinf-broken", LDQuantale(
-        tensor_part=trop,
+    "bool-broken": _broken("bool", "tensor_part", "1", "1", "0"),
+    "chain3-broken": _broken("chain3", "par_part", "0", "m", "1"),
+    "diamond-broken": _broken("diamond", "tensor_part", "x", "y", "1"),
+    "z2shift-broken": _broken("z2shift", "par_part", "e", "e", "e"),
+    "z3shift-broken": _broken("z3shift", "tensor_part", "e", "g1", "e"),
+    "zinf-broken": lambda base: LDQuantale(
+        tensor_part=base("zinf-tropical").tensor_part,
         par_part=Quantale(carrier=ZIntCarrier(True),
-                          op=ZIntOp(MINUS_INF, 0), unit=0)))
+                          op=ZIntOp(MINUS_INF, 0), unit=0)),
+}
 
-    return entries
+
+def _structures() -> Callable[[str], LDQuantale]:
+    """A lookup that builds each entry's structure once, on first use."""
+    @lru_cache(maxsize=None)
+    def structure(name: str) -> LDQuantale:
+        return _BUILDERS[name](structure)
+    return structure
+
+
+_structure = _structures()
+
+
+def build_catalog(window: int = 10, names: Sequence[str] | None = None,
+                  structure: Callable[[str], LDQuantale] | None = None,
+                  ) -> dict[str, CatalogEntry]:
+    """Construct the built-in structures and derive their classification.
+
+    ``names`` picks entries (default: all, in catalog order); ``structure``
+    looks structures up (default: build them afresh).
+    """
+    structure = structure or _structures()
+    return {name: _classify(name, structure(name), window)
+            for name in (names or _BUILDERS)}
+
+
+@lru_cache(maxsize=64)
+def _entry(name: str, window: int) -> CatalogEntry:
+    return build_catalog(window, (name,), _structure)[name]
 
 
 @lru_cache(maxsize=4)
 def catalog(window: int = 10) -> dict[str, CatalogEntry]:
-    return build_catalog(window)
+    return {name: _entry(name, window) for name in _BUILDERS}
 
 
 def catalog_entry(name: str, window: int = 10) -> CatalogEntry:
-    entries = catalog(window)
-    if name not in entries:
+    """One entry, classified without building the rest of the catalog."""
+    if name not in _BUILDERS:
         raise UnknownElementError(
-            f"unknown catalog entry {name!r}; have {sorted(entries)}")
-    return entries[name]
+            f"unknown catalog entry {name!r}; have {sorted(_BUILDERS)}")
+    return _entry(name, window)
 
 
 def default_sets(max_size: int = 2) -> list[FiniteSet]:
@@ -538,7 +544,7 @@ def _thm_qrel_closed(entry: CatalogEntry, sampler: Sampler,
     suite = f"theorem-qrel-closed[{entry.name}]"
     if entry.is_girard:
         amb = entry.girard
-        mode, cases = sample_relation_tuples(amb, sets, sampler, 2)
+        mode, cases = sample_relation_tuples(amb, sets, sampler, "chain1")
         unit_wit = None
         counit_wit = None
         for (r,) in cases:
