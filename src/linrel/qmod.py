@@ -10,9 +10,10 @@ mixed inequalities, and compose in two ways with mixed-order 2-cells
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import islice, product
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InputFormatError,
@@ -28,7 +29,7 @@ from .quantaloid import (
     hom_dual,
     transfer_to_linear_monq,
 )
-from .report import LawReport, Sampler, law_entry
+from .report import LAW_GROUPS, LawReport, Sampler, law_entry
 
 Matrix = tuple[tuple[str, ...], ...]
 
@@ -137,162 +138,184 @@ def qbimodule(source: QCategory, target: QCategory,
 
 
 # ---------------------------------------------------------------------------
-# Validation suites
+# Category and bimodule laws
+#
+# Each law is one inequality ``lhs <= rhs`` at every index tuple of the
+# product of its ranges; a range names the carrier its index runs over ("x"
+# the category or bimodule source, "y" the bimodule target).  A term is a
+# matrix name (its cell from the first index to the last), ``(unit,)`` for
+# a base unit at the first index, or ``(op, f, g)`` for the base composite
+# of f's cell (first, second index) with g's cell (second, third index).
+# Matrices are a category's ``et``/``ep``, and a bimodule's ``vt``/``vp``
+# with its endpoints' enrichments ``Mt``/``Mp`` (source) and ``Nt``/``Np``.
+# A law restated under another label may read its indices in another
+# order: ``at[p]`` is the position in the loop order of its index p.
+
+Term = str | tuple[str, ...]
+
+
+def _term(base: FiniteQuantaloid, term: Term, mats: Mapping, objs, idx) -> str:
+    if isinstance(term, str):
+        return mats[term][idx[0]][idx[-1]]
+    if len(term) == 1:
+        return getattr(base, term[0])(objs[0])
+    op, f, g = term
+    return getattr(base, op)(*objs, mats[f][idx[0]][idx[1]],
+                             mats[g][idx[1]][idx[2]])
+
+
+@dataclass(frozen=True)
+class _Law:
+    label: str
+    ranges: str
+    lhs: Term
+    rhs: Term
+    names: tuple[str, ...] | None  # witness keys of the indices, else "indices"
+    sides: Callable[[str, str], dict]  # witness entries taken from lhs, rhs
+    at: tuple[int, ...] | None = None
+
+    @property
+    def reads(self) -> set[str]:
+        return {m for m, _, _ in self.cells((0, 0, 0))}
+
+    def cells(self, idx) -> Iterator[tuple[str, int, int]]:
+        for t in (self.lhs, self.rhs):
+            if isinstance(t, str):
+                yield t, idx[0], idx[-1]
+            elif len(t) == 3:
+                yield t[1], idx[0], idx[1]
+                yield t[2], idx[1], idx[2]
+
+    def evaluate(self, base: FiniteQuantaloid, mats: Mapping, objs,
+                 idx) -> tuple[bool, str, str]:
+        lhs = _term(base, self.lhs, mats, objs, idx)
+        rhs = _term(base, self.rhs, mats, objs, idx)
+        return base.hom(objs[0], objs[-1]).leq(lhs, rhs), lhs, rhs
+
+    def witness(self, members: Mapping, loop, lhs: str, rhs: str) -> dict:
+        if self.names is None:
+            return {"indices": list(loop)}
+        named = {k: members[r][i] for k, r, i in zip(self.names, self.ranges, loop)}
+        return {**named, **self.sides(lhs, rhs)}
+
+    def instances(self, rhos: Mapping):
+        """(objects, indices, loop indices) of every check, in loop order."""
+        at = self.at or range(len(self.ranges))
+        for loop in product(*(range(len(rhos[r])) for r in self.ranges)):
+            yield (tuple(rhos[self.ranges[j]][loop[j]] for j in at),
+                   tuple(loop[j] for j in at), loop)
+
+
+def _laws(group: str, rows) -> tuple[_Law, ...]:
+    return tuple(_Law(label, *row)
+                 for label, row in zip(LAW_GROUPS[group], rows, strict=True))
+
+
+def _restated(group: str, rows, names=None, sides=None) -> tuple[_Law, ...]:
+    """The laws of `group` as (law, at) restatements of laws above; `at`
+    only swaps indices that run over the same carrier."""
+    return tuple(
+        replace(law, label=label, at=at, names=names, sides=sides or law.sides)
+        for label, (law, at) in zip(LAW_GROUPS[group], rows, strict=True))
+
+
+_XYZ = ("x", "y", "z")
+
+
+def _both(lhs, rhs):
+    return {"lhs": lhs, "rhs": rhs}
+
+
+def _neither(lhs, rhs):
+    return {}
+
+
+_QCAT_LAWS = _laws("qcat", (
+    ("x", ("unit_top",), "et", ("x",), lambda lhs, rhs: {"value": rhs}),
+    ("xxx", ("compose", "et", "et"), "et", _XYZ, _both),
+))
+_LINEAR_QCAT_LAWS = _laws("linear-qcat", (
+    ("x", "ep", ("unit_bot",), ("x",), lambda lhs, rhs: {"value": lhs}),
+    ("xxx", "ep", ("par_compose", "ep", "ep"), _XYZ, _both),
+    ("xxx", "et", ("par_compose", "ep", "et"), _XYZ, _neither),
+    ("xxx", "et", ("par_compose", "et", "ep"), _XYZ, _neither),
+    ("xxx", ("compose", "et", "ep"), "ep", _XYZ, _neither),
+    ("xxx", ("compose", "ep", "et"), "ep", _XYZ, _neither),
+))
+_QBIM_LAWS = _laws("qbim", (
+    ("xyy", ("compose", "vt", "Nt"), "vt", ("x", "y", "y2"),
+     lambda lhs, rhs: {"lhs": lhs}),
+    ("xxy", ("compose", "Mt", "vt"), "vt", ("x", "x2", "y"),
+     lambda lhs, rhs: {"lhs": lhs}),
+))
+_LINEAR_QBIM_LAWS = _laws("linear-qbim", (
+    ("xxy", "vt", ("par_compose", "Mp", "vt"), None, _neither),
+    ("xyy", "vt", ("par_compose", "vt", "Np"), None, _neither),
+    ("yyx", "vp", ("par_compose", "Np", "vp"), None, _neither),
+    ("yxx", "vp", ("par_compose", "vp", "Mp"), None, _neither),
+    ("yyx", ("compose", "Nt", "vp"), "vp", None, _neither),
+    ("yxx", ("compose", "vp", "Mt"), "vp", None, _neither),
+))
+_LAW = {law.label: law for law in _QCAT_LAWS + _LINEAR_QCAT_LAWS
+        + _QBIM_LAWS + _LINEAR_QBIM_LAWS}
+# The second enrichment ``ep`` is the entrywise dual of ``et`` transposed,
+# so the facts listed for it are the linear-category laws in other index
+# orders, plus a counit against the family (``fam[x][x]``).
+_SECOND_ENRICHMENT_LAWS = _restated("second-enrichment", (
+    (_Law("", "x", "ep", "fam", None, _neither), None),
+    (_LAW["qcat-par-cocomposition"], None),
+    (_LAW["qcat-mixed-absorb-left"], None),
+    (_LAW["qcat-mixed-par-tensor"], (2, 1, 0)),
+    (_LAW["qcat-mixed-absorb-right"], (2, 0, 1)),
+    (_LAW["qcat-mixed-tensor-par"], (2, 1, 0)),
+), names=("x", "x1", "x2"), sides=_neither)
+# Likewise the dual of a bimodule is the par part of its linearization.
+_DUAL_BIMODULE_LAWS = _restated("second-enrichment-bimodule", (
+    (_LAW["qbim-par-left-coaction"], (1, 0, 2)),
+    (_LAW["qbim-par-right-coaction"], None),
+    (_LAW["qbim-par-right-action"], None),
+    (_LAW["qbim-tensor-left-coaction"], None),
+    (_LAW["qbim-par-left-action"], None),
+    (_LAW["qbim-tensor-right-coaction"], None),
+))
+
+
+def _bimodule_matrices(M: QCategory, N: QCategory, **values) -> dict:
+    mats = {"Mt": M.enrich_tensor, "Mp": M.enrich_par, "Nt": N.enrich_tensor,
+            "Np": N.enrich_par, **values}
+    return {k: v for k, v in mats.items() if v is not None}
+
+
+def _law_report(suite: str, laws: Sequence[_Law], base: FiniteQuantaloid,
+                cats: Mapping[str, QCategory], mats: Mapping) -> LawReport:
+    """Each law with the witness of its first failing index tuple."""
+    rhos = {r: C.rho for r, C in cats.items()}
+    members = {r: C.members for r, C in cats.items()}
+    entries = []
+    for law in laws:
+        wit = None
+        for objs, idx, loop in law.instances(rhos):
+            ok, lhs, rhs = law.evaluate(base, mats, objs, idx)
+            if not ok:
+                wit = law.witness(members, loop, lhs, rhs)
+                break
+        entries.append(law_entry(law.label, wit, "exhaustive"))
+    return LawReport(suite, tuple(entries))
 
 
 def validate_qcategory(M: QCategory, suite: str = "qcategory") -> LawReport:
-    base = M.base
-    rho = M.rho
-    et = M.enrich_tensor
-    n = len(M)
-    mode = "exhaustive"
-    entries = []
-
-    wit = None
-    for x in range(n):
-        h = base.hom(rho[x], rho[x])
-        if not h.leq(base.unit_top(rho[x]), et[x][x]):
-            wit = {"x": M.members[x], "value": et[x][x]}
-            break
-    entries.append(law_entry("qcat-tensor-unit", wit, mode))
-
-    wit = None
-    for x, y, z in product(range(n), repeat=3):
-        lhs = base.compose(rho[x], rho[y], rho[z], et[x][y], et[y][z])
-        if not base.hom(rho[x], rho[z]).leq(lhs, et[x][z]):
-            wit = {"x": M.members[x], "y": M.members[y], "z": M.members[z],
-                   "lhs": lhs, "rhs": et[x][z]}
-            break
-    entries.append(law_entry("qcat-tensor-composition", wit, mode))
-
-    if M.is_linear:
-        ep = M.enrich_par
-
-        wit = None
-        for x in range(n):
-            if not base.hom(rho[x], rho[x]).leq(ep[x][x], base.unit_bot(rho[x])):
-                wit = {"x": M.members[x], "value": ep[x][x]}
-                break
-        entries.append(law_entry("qcat-par-counit", wit, mode))
-
-        wit = None
-        for x, y, z in product(range(n), repeat=3):
-            rhs = base.par_compose(rho[x], rho[y], rho[z], ep[x][y], ep[y][z])
-            if not base.hom(rho[x], rho[z]).leq(ep[x][z], rhs):
-                wit = {"x": M.members[x], "y": M.members[y], "z": M.members[z],
-                       "lhs": ep[x][z], "rhs": rhs}
-                break
-        entries.append(law_entry("qcat-par-cocomposition", wit, mode))
-
-        mixed = (
-            ("qcat-mixed-par-tensor",
-             lambda x, y, z: base.hom(rho[x], rho[z]).leq(
-                 et[x][z], base.par_compose(rho[x], rho[y], rho[z],
-                                            ep[x][y], et[y][z]))),
-            ("qcat-mixed-tensor-par",
-             lambda x, y, z: base.hom(rho[x], rho[z]).leq(
-                 et[x][z], base.par_compose(rho[x], rho[y], rho[z],
-                                            et[x][y], ep[y][z]))),
-            ("qcat-mixed-absorb-right",
-             lambda x, y, z: base.hom(rho[x], rho[z]).leq(
-                 base.compose(rho[x], rho[y], rho[z], et[x][y], ep[y][z]),
-                 ep[x][z])),
-            ("qcat-mixed-absorb-left",
-             lambda x, y, z: base.hom(rho[x], rho[z]).leq(
-                 base.compose(rho[x], rho[y], rho[z], ep[x][y], et[y][z]),
-                 ep[x][z])),
-        )
-        for label, ok in mixed:
-            wit = None
-            for x, y, z in product(range(n), repeat=3):
-                if not ok(x, y, z):
-                    wit = {"x": M.members[x], "y": M.members[y],
-                           "z": M.members[z]}
-                    break
-            entries.append(law_entry(label, wit, mode))
-
-    return LawReport(suite, tuple(entries))
+    laws = _QCAT_LAWS + (_LINEAR_QCAT_LAWS if M.is_linear else ())
+    return _law_report(suite, laws, M.base, {"x": M},
+                       {"et": M.enrich_tensor, "ep": M.enrich_par})
 
 
 def validate_qbimodule(B: QBimodule, suite: str = "qbimodule") -> LawReport:
-    base = B.source.base
     M, N = B.source, B.target
-    vt = B.values_tensor
-    nx, ny = len(M), len(N)
-    mode = "exhaustive"
-    entries = []
-
-    wit = None
-    for x in range(nx):
-        for y in range(ny):
-            for y2 in range(ny):
-                lhs = base.compose(M.rho[x], N.rho[y], N.rho[y2],
-                                   vt[x][y], N.enrich_tensor[y][y2])
-                if not base.hom(M.rho[x], N.rho[y2]).leq(lhs, vt[x][y2]):
-                    wit = {"x": M.members[x], "y": N.members[y],
-                           "y2": N.members[y2], "lhs": lhs}
-                    break
-            if wit:
-                break
-        if wit:
-            break
-    entries.append(law_entry("qbim-tensor-right-action", wit, mode))
-
-    wit = None
-    for x in range(nx):
-        for x2 in range(nx):
-            for y in range(ny):
-                lhs = base.compose(M.rho[x], M.rho[x2], N.rho[y],
-                                   M.enrich_tensor[x][x2], vt[x2][y])
-                if not base.hom(M.rho[x], N.rho[y]).leq(lhs, vt[x][y]):
-                    wit = {"x": M.members[x], "x2": M.members[x2],
-                           "y": N.members[y], "lhs": lhs}
-                    break
-            if wit:
-                break
-        if wit:
-            break
-    entries.append(law_entry("qbim-tensor-left-action", wit, mode))
-
-    if B.is_linear and M.is_linear and N.is_linear:
-        vp = B.values_par
-        checks = (
-            ("qbim-tensor-left-coaction", nx, nx, ny,
-             lambda x, x2, y: base.hom(M.rho[x], N.rho[y]).leq(
-                 vt[x][y], base.par_compose(M.rho[x], M.rho[x2], N.rho[y],
-                                            M.enrich_par[x][x2], vt[x2][y]))),
-            ("qbim-tensor-right-coaction", nx, ny, ny,
-             lambda x, y2, y: base.hom(M.rho[x], N.rho[y]).leq(
-                 vt[x][y], base.par_compose(M.rho[x], N.rho[y2], N.rho[y],
-                                            vt[x][y2], N.enrich_par[y2][y]))),
-            ("qbim-par-left-coaction", ny, ny, nx,
-             lambda y, y2, x: base.hom(N.rho[y], M.rho[x]).leq(
-                 vp[y][x], base.par_compose(N.rho[y], N.rho[y2], M.rho[x],
-                                            N.enrich_par[y][y2], vp[y2][x]))),
-            ("qbim-par-right-coaction", ny, nx, nx,
-             lambda y, x2, x: base.hom(N.rho[y], M.rho[x]).leq(
-                 vp[y][x], base.par_compose(N.rho[y], M.rho[x2], M.rho[x],
-                                            vp[y][x2], M.enrich_par[x2][x]))),
-            ("qbim-par-left-action", ny, ny, nx,
-             lambda y, y2, x: base.hom(N.rho[y], M.rho[x]).leq(
-                 base.compose(N.rho[y], N.rho[y2], M.rho[x],
-                              N.enrich_tensor[y][y2], vp[y2][x]),
-                 vp[y][x])),
-            ("qbim-par-right-action", ny, nx, nx,
-             lambda y, x2, x: base.hom(N.rho[y], M.rho[x]).leq(
-                 base.compose(N.rho[y], M.rho[x2], M.rho[x],
-                              vp[y][x2], M.enrich_tensor[x2][x]),
-                 vp[y][x])),
-        )
-        for label, r1, r2, r3, ok in checks:
-            wit = None
-            for i, j, k in product(range(r1), range(r2), range(r3)):
-                if not ok(i, j, k):
-                    wit = {"indices": [i, j, k]}
-                    break
-            entries.append(law_entry(label, wit, mode))
-
-    return LawReport(suite, tuple(entries))
+    linear = B.is_linear and M.is_linear and N.is_linear
+    laws = _QBIM_LAWS + (_LINEAR_QBIM_LAWS if linear else ())
+    return _law_report(suite, laws, M.base, {"x": M, "y": N},
+                       _bimodule_matrices(M, N, vt=B.values_tensor,
+                                          vp=B.values_par))
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +476,28 @@ def _delta_matrix(M: QCategory, family: Mapping[str, str]) -> Matrix:
         for x in range(n))
 
 
+def _require_girard(base: FiniteQuantaloid, family: Mapping[str, str]) -> None:
+    if not check_girard_family(base, family).ok:
+        raise NotGirardError("family is not cyclic dualizing on the base")
+
+
 def qmod_delta(M: QCategory, family: Mapping[str, str]) -> QBimodule:
     """The dualizing endo-bimodule: entrywise dual of the reversed
     enrichment against the family."""
-    if not check_girard_family(M.base, family).ok:
-        raise NotGirardError("family is not cyclic dualizing on the base")
+    _require_girard(M.base, family)
     return QBimodule(source=M, target=M, values_tensor=_delta_matrix(M, family))
 
 
 def second_enrichment(M: QCategory, family: Mapping[str, str]) -> QCategory:
     """Extend a plain category with the dual enrichment as its par part."""
-    delta = qmod_delta(M, family)
+    _require_girard(M.base, family)
+    return _second_enrichment(M, family)
+
+
+def _second_enrichment(M: QCategory, family: Mapping[str, str]) -> QCategory:
     return QCategory(base=M.base, members=M.members, rho=M.rho,
                      enrich_tensor=M.enrich_tensor,
-                     enrich_par=delta.values_tensor)
+                     enrich_par=_delta_matrix(M, family))
 
 
 def qmod_right_extension(T: QBimodule, H: QBimodule) -> Matrix:
@@ -555,9 +586,12 @@ def check_girard_qmod(base: FiniteQuantaloid, family: Mapping[str, str],
 def qmod_linear_adjoint(T: QBimodule, family: Mapping[str, str]) -> QBimodule:
     """Right linear adjoint over a Girard base: dualized tensor part, with
     the original tensor part as the new par part."""
+    _require_girard(T.source.base, family)
+    return _qmod_linear_adjoint(T, family)
+
+
+def _qmod_linear_adjoint(T: QBimodule, family: Mapping[str, str]) -> QBimodule:
     base = T.source.base
-    if not check_girard_family(base, family).ok:
-        raise NotGirardError("family is not cyclic dualizing on the base")
     M, N = T.source, T.target
     vt = tuple(
         tuple(hom_dual(base, M.rho[x], N.rho[y], T.values_tensor[x][y], family)
@@ -573,9 +607,15 @@ def girard_linear_bimodule(T: QBimodule, family: Mapping[str, str]) -> QBimodule
     """Canonically linearize a plain bimodule over a Girard base: endpoints
     get their dual second enrichment, the par values are the dualized
     transpose.  The linear adjunction facts hold for this structure."""
+    if not (T.source.is_linear and T.target.is_linear):
+        _require_girard(T.source.base, family)
+    return _girard_linear_bimodule(T, family)
+
+
+def _girard_linear_bimodule(T: QBimodule, family: Mapping[str, str]) -> QBimodule:
     base = T.source.base
-    M = second_enrichment(T.source, family) if not T.source.is_linear else T.source
-    N = second_enrichment(T.target, family) if not T.target.is_linear else T.target
+    M = T.source if T.source.is_linear else _second_enrichment(T.source, family)
+    N = T.target if T.target.is_linear else _second_enrichment(T.target, family)
     vp = tuple(
         tuple(hom_dual(base, M.rho[x], N.rho[y], T.values_tensor[x][y], family)
               for x in range(len(M)))
@@ -598,84 +638,79 @@ def check_qmod_linear_adjoint(T: QBimodule, P: QBimodule) -> bool:
 # Enumeration
 
 
+# Row and column carriers of the matrices a search fills.
+_MATRIX_RANGES = {"et": "xx", "ep": "xx", "vt": "xy", "vp": "yx"}
+
+
+def _search(base: FiniteQuantaloid, laws: Sequence[_Law], rhos: Mapping,
+            mats: Mapping, fill: Sequence[str]) -> Iterator[tuple[Matrix, ...]]:
+    """Every filling of the matrices in `fill` on which the laws hold.
+
+    The cells (row-major, one matrix after another) take their hom's
+    elements in order with the last cell varying fastest, which is
+    `itertools.product` order.  `mats` holds the fixed matrices; a law
+    takes part when it reads a filled matrix and nothing missing, and each
+    of its instances is checked as soon as the last cell it reads is set,
+    so a failing prefix is cut off with all its extensions.
+    """
+    grids = {m: [[None] * len(rhos[_MATRIX_RANGES[m][1]])
+                 for _ in rhos[_MATRIX_RANGES[m][0]]] for m in fill}
+    mats = {**mats, **grids}
+    order = [(m, r, c) for m in fill for r, row in enumerate(grids[m])
+             for c in range(len(row))]
+    pools = [base.hom(rhos[_MATRIX_RANGES[m][0]][r],
+                      rhos[_MATRIX_RANGES[m][1]][c]).elements
+             for m, r, c in order]
+    pos = {cell: k for k, cell in enumerate(order)}
+    checks: list[list] = [[] for _ in order]
+    for law in laws:
+        if law.reads <= mats.keys() and law.reads & grids.keys():
+            for objs, idx, _ in law.instances(rhos):
+                last = max(pos[c] for c in law.cells(idx) if c in pos)
+                checks[last].append((law, objs, idx))
+
+    def extend(k: int):
+        if k == len(order):
+            yield tuple(tuple(map(tuple, grids[m])) for m in fill)
+            return
+        m, r, c = order[k]
+        row = grids[m][r]
+        for value in pools[k]:
+            row[c] = value
+            if all(law.evaluate(base, mats, objs, idx)[0]
+                   for law, objs, idx in checks[k]):
+                yield from extend(k + 1)
+
+    return extend(0)
+
+
 def enumerate_qcategories(base: FiniteQuantaloid, members: Sequence[str],
                           rho: Sequence[str], linear: bool = False,
                           limit: int | None = None) -> Iterator[QCategory]:
-    """Valid categories on a fixed carrier in deterministic table order."""
-    n = len(members)
-    pools = [base.hom(rho[i], rho[j]).elements
-             for i in range(n) for j in range(n)]
-
-    def matrices():
-        for flat in product(*pools):
-            yield tuple(flat[i * n:(i + 1) * n] for i in range(n))
-
-    count = 0
-    if not linear:
-        for et in matrices():
-            M = QCategory(base, tuple(members), tuple(rho), et)
-            if validate_qcategory(M).ok:
-                yield M
-                count += 1
-                if limit is not None and count >= limit:
-                    return
-        return
-
-    valid_t = []
-    for et in matrices():
-        M = QCategory(base, tuple(members), tuple(rho), et)
-        if validate_qcategory(M).ok:
-            valid_t.append(et)
-    for et in valid_t:
-        for ep in matrices():
-            M = QCategory(base, tuple(members), tuple(rho), et, ep)
-            if validate_qcategory(M).ok:
-                yield M
-                count += 1
-                if limit is not None and count >= limit:
-                    return
+    """The first `limit` valid categories on a fixed carrier, in table
+    order: the tensor enrichment's cells, then the par enrichment's."""
+    members, rho = tuple(members), tuple(rho)
+    laws = _QCAT_LAWS + (_LINEAR_QCAT_LAWS if linear else ())
+    found = _search(base, laws, {"x": rho}, {}, ("et", "ep")[:1 + linear])
+    for mats in islice(found, limit):
+        yield QCategory(base, members, rho, *mats)
 
 
 def enumerate_qbimodules(M: QCategory, N: QCategory, linear: bool = False,
                          limit: int | None = None) -> list[QBimodule]:
-    """Valid bimodules M -> N; the tensor and par sides filter separately."""
+    """The first `limit` valid bimodules M -> N in table order.  Every law
+    reads only the tensor values or only the par values, so the linear
+    bimodules are the two searches' product, tensor values outermost."""
     if linear and not (M.is_linear and N.is_linear):
         raise MismatchError("linear bimodules need linear endpoint categories")
-    base = M.base
-    nx, ny = len(M), len(N)
-    t_pools = [base.hom(M.rho[x], N.rho[y]).elements
-               for x in range(nx) for y in range(ny)]
-    valid_t = []
-    for flat in product(*t_pools):
-        vt = tuple(flat[x * ny:(x + 1) * ny] for x in range(nx))
-        cand = QBimodule(M, N, vt)
-        if validate_qbimodule(cand).ok:
-            valid_t.append(vt)
-    if not linear:
-        out = [QBimodule(M, N, vt) for vt in valid_t]
-        return out[:limit] if limit is not None else out
-
-    p_pools = [base.hom(N.rho[y], M.rho[x]).elements
-               for y in range(ny) for x in range(nx)]
-    valid_p = []
-    probe_t = valid_t[0] if valid_t else None
-    for flat in product(*p_pools):
-        vp = tuple(flat[y * nx:(y + 1) * nx] for y in range(ny))
-        if probe_t is None:
-            break
-        cand = QBimodule(M, N, probe_t, vp)
-        rep = validate_qbimodule(cand)
-        if all(e.ok for e in rep.entries if e.law.startswith("qbim-par")):
-            valid_p.append(vp)
-    out = []
-    for vt in valid_t:
-        for vp in valid_p:
-            cand = QBimodule(M, N, vt, vp)
-            if validate_qbimodule(cand).ok:
-                out.append(cand)
-                if limit is not None and len(out) >= limit:
-                    return out
-    return out
+    laws = _QBIM_LAWS + (_LINEAR_QBIM_LAWS if linear else ())
+    search = partial(_search, M.base, laws, {"x": M.rho, "y": N.rho},
+                     _bimodule_matrices(M, N))
+    # The first valid tensor part is paired with every par part before the
+    # next one is, so no limit needs more than `limit` par parts.
+    pars = list(islice(search(("vp",)), limit)) if linear else [(None,)]
+    found = (QBimodule(M, N, vt, vp) for vt, in search(("vt",)) for vp, in pars)
+    return list(islice(found, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -816,127 +851,23 @@ def check_second_enrichment(M: QCategory, family: Mapping[str, str],
                             suite: str = "second-enrichment") -> LawReport:
     """The dual enrichment satisfies the par-side category laws and the
     action laws together with their dual images."""
-    base = M.base
-    S = second_enrichment(M, family)
-    ep = S.enrich_par
-    et = M.enrich_tensor
-    rho = M.rho
-    n = len(M)
-    mode = "exhaustive"
-
-    def dual(a: str, b: str, f: str) -> str:
-        return hom_dual(base, a, b, f, family)
-
-    entries = []
-
-    wit = None
-    for x in range(n):
-        if not base.hom(rho[x], rho[x]).leq(ep[x][x], family[rho[x]]):
-            wit = {"x": M.members[x]}
-            break
-    entries.append(law_entry("second-enrichment-counit", wit, mode))
-
-    wit = None
-    for x, x1, x2 in product(range(n), repeat=3):
-        rhs = base.par_compose(rho[x], rho[x1], rho[x2], ep[x][x1], ep[x1][x2])
-        if not base.hom(rho[x], rho[x2]).leq(ep[x][x2], rhs):
-            wit = {"x": M.members[x], "x1": M.members[x1], "x2": M.members[x2]}
-            break
-    entries.append(law_entry("second-enrichment-cocomposition", wit, mode))
-
-    checks = (
-        ("second-enrichment-left-action",
-         lambda x, x1, x2: base.hom(rho[x], rho[x2]).leq(
-             base.compose(rho[x], rho[x1], rho[x2], ep[x][x1], et[x1][x2]),
-             ep[x][x2])),
-        ("second-enrichment-left-action-dual",
-         lambda x, x1, x2: base.hom(rho[x2], rho[x]).leq(
-             et[x2][x],
-             base.par_compose(rho[x2], rho[x1], rho[x],
-                              dual(rho[x1], rho[x2], et[x1][x2]), et[x1][x]))),
-        ("second-enrichment-right-action",
-         lambda x, x1, x2: base.hom(rho[x2], rho[x1]).leq(
-             base.compose(rho[x2], rho[x], rho[x1], et[x2][x], ep[x][x1]),
-             dual(rho[x1], rho[x2], et[x1][x2]))),
-        ("second-enrichment-right-action-dual",
-         lambda x, x1, x2: base.hom(rho[x2], rho[x]).leq(
-             et[x2][x],
-             base.par_compose(rho[x2], rho[x1], rho[x],
-                              et[x2][x1], ep[x1][x]))),
-    )
-    for label, ok in checks:
-        wit = None
-        for x, x1, x2 in product(range(n), repeat=3):
-            if not ok(x, x1, x2):
-                wit = {"x": M.members[x], "x1": M.members[x1],
-                       "x2": M.members[x2]}
-                break
-        entries.append(law_entry(label, wit, mode))
-    return LawReport(suite, tuple(entries))
+    ep = second_enrichment(M, family).enrich_par
+    fam = tuple((family[a],) * len(M) for a in M.rho)
+    return _law_report(suite, _SECOND_ENRICHMENT_LAWS, M.base, {"x": M},
+                       {"et": M.enrich_tensor, "ep": ep, "fam": fam})
 
 
 def check_dual_bimodule(T: QBimodule, family: Mapping[str, str],
                         suite: str = "dual-bimodule") -> LawReport:
     """The entrywise dual of a bimodule satisfies the coaction laws and
     the action laws with their dual images."""
-    base = T.source.base
     M, N = T.source, T.target
-    vt = T.values_tensor
-    nr, mr = N.rho, M.rho
-    nx, ny = len(M), len(N)
-    mode = "exhaustive"
-
-    def dual(a: str, b: str, f: str) -> str:
-        return hom_dual(base, a, b, f, family)
-
-    dprime = tuple(tuple(dual(mr[x], nr[y], vt[x][y]) for x in range(nx))
-                   for y in range(ny))
-    mdual = tuple(tuple(dual(mr[x], mr[x2], M.enrich_tensor[x][x2])
-                        for x in range(nx)) for x2 in range(nx))
-    ndual = tuple(tuple(dual(nr[y], nr[y2], N.enrich_tensor[y][y2])
-                        for y in range(ny)) for y2 in range(ny))
-
-    checks = (
-        ("dual-bimodule-left-coaction", (ny, ny, nx),
-         lambda y, y2, x: base.hom(nr[y2], mr[x]).leq(
-             dprime[y2][x],
-             base.par_compose(nr[y2], nr[y], mr[x], ndual[y2][y],
-                              dprime[y][x]))),
-        ("dual-bimodule-right-coaction", (ny, nx, nx),
-         lambda y, x2, x: base.hom(nr[y], mr[x]).leq(
-             dprime[y][x],
-             base.par_compose(nr[y], mr[x2], mr[x], dprime[y][x2],
-                              mdual[x2][x]))),
-        ("dual-bimodule-right-action", (ny, nx, nx),
-         lambda y, x, x2: base.hom(nr[y], mr[x2]).leq(
-             base.compose(nr[y], mr[x], mr[x2], dprime[y][x],
-                          M.enrich_tensor[x][x2]),
-             dprime[y][x2])),
-        ("dual-bimodule-right-action-dual", (nx, nx, ny),
-         lambda x2, x, y: base.hom(mr[x2], nr[y]).leq(
-             vt[x2][y],
-             base.par_compose(mr[x2], mr[x], nr[y], mdual[x2][x], vt[x][y]))),
-        ("dual-bimodule-left-action", (ny, ny, nx),
-         lambda y, y2, x: base.hom(nr[y], mr[x]).leq(
-             base.compose(nr[y], nr[y2], mr[x], N.enrich_tensor[y][y2],
-                          dprime[y2][x]),
-             dprime[y][x])),
-        ("dual-bimodule-left-action-dual", (nx, ny, ny),
-         lambda x, y2, y: base.hom(mr[x], nr[y]).leq(
-             vt[x][y],
-             base.par_compose(mr[x], nr[y2], nr[y], vt[x][y2],
-                              ndual[y2][y]))),
-    )
-    entries = []
-    for label, ranges, ok in checks:
-        wit = None
-        for i, j, k in product(range(ranges[0]), range(ranges[1]),
-                               range(ranges[2])):
-            if not ok(i, j, k):
-                wit = {"indices": [i, j, k]}
-                break
-        entries.append(law_entry(label, wit, mode))
-    return LawReport(suite, tuple(entries))
+    mats = _bimodule_matrices(
+        M, N, vt=T.values_tensor,
+        vp=_qmod_linear_adjoint(T, family).values_tensor,
+        Mp=_delta_matrix(M, family), Np=_delta_matrix(N, family))
+    return _law_report(suite, _DUAL_BIMODULE_LAWS, M.base, {"x": M, "y": N},
+                       mats)
 
 
 # ---------------------------------------------------------------------------

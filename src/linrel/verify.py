@@ -36,18 +36,19 @@ from .quantale import (
     tropical_quantale,
 )
 from .qmod import (
+    _girard_linear_bimodule,
+    _qmod_linear_adjoint,
+    _require_girard,
     bim_leq,
     check_girard_qmod,
     discrete_qcategory,
     enumerate_qbimodules,
     enumerate_qcategories,
-    girard_linear_bimodule,
     identity_bimodule,
     par_identity_bimodule,
     qmod_compose_par,
     qmod_compose_tensor,
     qmod_delta,
-    qmod_linear_adjoint,
     verify_linear_qmod_theorem,
 )
 from .qrel import (
@@ -595,13 +596,15 @@ def _thm_qmod_closed(entry: CatalogEntry, sampler: Sampler,
         members = tuple(f"x{i}" for i in range(size))
         cats.append(discrete_qcategory(base, members, (obj,) * size))
         cats.extend(enumerate_qcategories(base, members, (obj,) * size, limit=3))
+    # the family is checked once here, not once per bimodule
+    _require_girard(base, family)
     unit_wit = None
     counit_wit = None
     for A in cats:
         for B in cats:
             for t in enumerate_qbimodules(A, B, limit=4):
-                lt = girard_linear_bimodule(t, family)
-                adj = qmod_linear_adjoint(lt, family)
+                lt = _girard_linear_bimodule(t, family)
+                adj = _qmod_linear_adjoint(lt, family)
                 if unit_wit is None and not bim_leq(
                         identity_bimodule(lt.source),
                         qmod_compose_par(lt, adj)):
