@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import StructureError
+from .errors import InputFormatError, StructureError
 from .quantale import (
     check_ld_laws,
     check_quantale_laws,
@@ -48,13 +48,16 @@ USAGE_EXIT = 2
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise StructureError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise StructureError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"{path} must hold a JSON object")
+    return obj
 
 
 def _sampler(args) -> Sampler:

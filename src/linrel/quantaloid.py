@@ -9,6 +9,7 @@ its identities, making the structure a linear quantaloid candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -33,6 +34,20 @@ Hom = tuple[str, str]
 
 
 @dataclass(frozen=True)
+class CodedQuantaloid:
+    """A finite quantaloid on element indices.  For each composable triple
+    ``(a, b, c)``, ``ends`` holds the name-to-index maps of hom(a, b) and
+    hom(b, c) and the element names of hom(a, c); ``tensor`` and ``par``
+    hold its tables with entries as indices into hom(a, c).  The hom
+    lattices' own order, join and meet tables are already on indices."""
+
+    ends: dict[tuple[Obj, Obj, Obj],
+               tuple[dict[str, int], dict[str, int], tuple[str, ...]]]
+    tensor: dict[tuple[Obj, Obj, Obj], tuple[tuple[int, ...], ...]]
+    par: dict[tuple[Obj, Obj, Obj], tuple[tuple[int, ...], ...]] | None
+
+
+@dataclass(frozen=True)
 class FiniteQuantaloid:
     objects: tuple[Obj, ...]
     homs: dict[Hom, FiniteLattice]
@@ -40,6 +55,22 @@ class FiniteQuantaloid:
     units_top: dict[Obj, str]
     par_tables: dict[tuple[Obj, Obj, Obj], tuple[tuple[str, ...], ...]] | None = None
     units_bot: dict[Obj, str] | None = None
+
+    @cached_property
+    def coded(self) -> CodedQuantaloid:
+        homs = self.homs
+
+        def code(tables):
+            return {(a, b, c): tuple(tuple(homs[(a, c)]._index[v] for v in row)
+                                     for row in table)
+                    for (a, b, c), table in tables.items()}
+
+        ends = {(a, b, c): (homs[(a, b)]._index, homs[(b, c)]._index,
+                            homs[(a, c)].elements)
+                for a, b, c in self.tensor_tables}
+        return CodedQuantaloid(
+            ends, code(self.tensor_tables),
+            None if self.par_tables is None else code(self.par_tables))
 
     @property
     def has_par(self) -> bool:
@@ -52,14 +83,23 @@ class FiniteQuantaloid:
             raise MismatchError(f"no hom from {a!r} to {b!r}") from None
 
     def compose(self, a: Obj, b: Obj, c: Obj, f: str, g: str) -> str:
-        table = self.tensor_tables[(a, b, c)]
-        return table[self.hom(a, b).index(f)][self.hom(b, c).index(g)]
+        return self._apply(self.coded.tensor, a, b, c, f, g)
 
     def par_compose(self, a: Obj, b: Obj, c: Obj, f: str, g: str) -> str:
         if self.par_tables is None:
             raise NoParStructureError("quantaloid has no par layer")
-        table = self.par_tables[(a, b, c)]
-        return table[self.hom(a, b).index(f)][self.hom(b, c).index(g)]
+        return self._apply(self.coded.par, a, b, c, f, g)
+
+    def _apply(self, tables, a: Obj, b: Obj, c: Obj, f: str, g: str) -> str:
+        key = (a, b, c)
+        try:
+            left, right, names = self.coded.ends[key]
+            return names[tables[key][left[f]][right[g]]]
+        except (KeyError, TypeError):
+            # name the missing hom or the unknown element
+            self.hom(a, b).index(f)
+            self.hom(b, c).index(g)
+            raise
 
     def unit_top(self, a: Obj) -> str:
         return self.units_top[a]
@@ -111,10 +151,13 @@ def finite_quantaloid(objects: Sequence[Obj],
         p_tables = normalize(par_tables, "par")
         u_bot = dict(units_bot)
     u_top = dict(units_top)
-    for a in objs:
-        homs[(a, a)].index(u_top[a])
-        if u_bot is not None:
-            homs[(a, a)].index(u_bot[a])
+    for label, units in (("units", u_top), ("par_units", u_bot)):
+        if units is None:
+            continue
+        for a in objs:
+            if a not in units:
+                raise InputFormatError(f"{label} has no element for object {a!r}")
+            homs[(a, a)].index(units[a])
     return FiniteQuantaloid(objects=objs, homs=homs, tensor_tables=t_tables,
                             units_top=u_top, par_tables=p_tables, units_bot=u_bot)
 
@@ -164,189 +207,203 @@ def quantaloid_to_quantale(Q: FiniteQuantaloid):
 # Law suite
 
 
-def _hom_elements(Q: FiniteQuantaloid, a: Obj, b: Obj) -> tuple[str, ...]:
-    return Q.hom(a, b).elements
+def _name(Q: FiniteQuantaloid, a: Obj, b: Obj, i: int) -> str:
+    return Q.homs[(a, b)].elements[i]
 
 
 def check_quantaloid_laws(Q: FiniteQuantaloid,
                           suite: str = "quantaloid-laws") -> LawReport:
     """Exhaustive composition laws over all composable tuples; the par
-    layer, when present, is checked dually plus both linear distributions."""
-    entries = []
-    mode = "exhaustive"
+    layer, when present, is checked dually plus both linear distributions.
 
-    def first(iterator):
-        for wit in iterator:
-            return wit
+    The checks run on ``Q.coded``; element names are looked up only to
+    build a witness, which is the first failing tuple in loop order."""
+    code, homs, objs = Q.coded, Q.homs, Q.objects
+    name = partial(_name, Q)
+
+    def first_diff(xs, ys) -> int:
+        return next(k for k, (x, y) in enumerate(zip(xs, ys)) if x != y)
+
+    def assoc(T):
+        for a, b, c, d in product(objs, repeat=4):
+            t_abd, t_acd, t_bcd = T[(a, b, d)], T[(a, c, d)], T[(b, c, d)]
+            for f, fg_row in enumerate(T[(a, b, c)]):
+                f_row = t_abd[f]
+                for g, fg in enumerate(fg_row):
+                    lhs = t_acd[fg]
+                    rhs = tuple(map(f_row.__getitem__, t_bcd[g]))
+                    if lhs != rhs:
+                        h = first_diff(lhs, rhs)
+                        return {"objects": [a, b, c, d], "f": name(a, b, f),
+                                "g": name(b, c, g), "h": name(c, d, h),
+                                "lhs": name(a, d, lhs[h]),
+                                "rhs": name(a, d, rhs[h])}
         return None
 
-    def assoc_fail(compose):
-        for a, b, c, d in product(Q.objects, repeat=4):
-            for f in _hom_elements(Q, a, b):
-                for g in _hom_elements(Q, b, c):
-                    for h in _hom_elements(Q, c, d):
-                        lhs = compose(a, c, d, compose(a, b, c, f, g), h)
-                        rhs = compose(a, b, d, f, compose(b, c, d, g, h))
-                        if lhs != rhs:
-                            yield {"objects": [a, b, c, d], "f": f, "g": g,
-                                   "h": h, "lhs": lhs, "rhs": rhs}
-
-    def unit_fail(compose, unit, left):
-        for a, b in product(Q.objects, repeat=2):
-            for f in _hom_elements(Q, a, b):
-                got = compose(a, a, b, unit(a), f) if left else \
-                    compose(a, b, b, f, unit(b))
-                if got != f:
-                    yield {"objects": [a, b], "f": f, "lhs": got}
-
-    def sup_fail(compose, bound, left):
-        for a, b, c in product(Q.objects, repeat=3):
-            h_ab, h_bc = Q.hom(a, b), Q.hom(b, c)
-            h_ac = Q.hom(a, c)
-            agg_src = h_ab if left else h_bc
-            agg = agg_src.join if bound == "join" else agg_src.meet
-            out = h_ac.join if bound == "join" else h_ac.meet
-            for f1 in agg_src.elements:
-                for f2 in agg_src.elements:
-                    for g in (h_bc if left else h_ab).elements:
-                        if left:
-                            lhs = compose(a, b, c, agg((f1, f2)), g)
-                            rhs = out((compose(a, b, c, f1, g),
-                                       compose(a, b, c, f2, g)))
-                        else:
-                            lhs = compose(a, b, c, g, agg((f1, f2)))
-                            rhs = out((compose(a, b, c, g, f1),
-                                       compose(a, b, c, g, f2)))
-                        if lhs != rhs:
-                            yield {"objects": [a, b, c], "f1": f1, "f2": f2,
-                                   "g": g, "lhs": lhs, "rhs": rhs}
-
-    def absorb_fail(compose, bound, left):
-        for a, b, c in product(Q.objects, repeat=3):
+    def unit(T, units, left):
+        for a, b in product(objs, repeat=2):
             if left:
-                absorber = getattr(Q.hom(a, b), bound)
-                for g in _hom_elements(Q, b, c):
-                    got = compose(a, b, c, absorber, g)
-                    want = getattr(Q.hom(a, c), bound)
-                    if got != want:
-                        yield {"objects": [a, b, c], "g": g, "lhs": got}
+                got = T[(a, a, b)][homs[(a, a)].index(units[a])]
             else:
-                absorber = getattr(Q.hom(b, c), bound)
-                for f in _hom_elements(Q, a, b):
-                    got = compose(a, b, c, f, absorber)
-                    want = getattr(Q.hom(a, c), bound)
-                    if got != want:
-                        yield {"objects": [a, b, c], "f": f, "lhs": got}
+                u = homs[(b, b)].index(units[b])
+                got = tuple(row[u] for row in T[(a, b, b)])
+            for f, v in enumerate(got):
+                if v != f:
+                    return {"objects": [a, b], "f": name(a, b, f),
+                            "lhs": name(a, b, v)}
+        return None
 
-    entries.append(law_entry("tensor-associativity", first(assoc_fail(Q.compose)), mode))
-    entries.append(law_entry("tensor-unit-left",
-                             first(unit_fail(Q.compose, Q.unit_top, True)), mode))
-    entries.append(law_entry("tensor-unit-right",
-                             first(unit_fail(Q.compose, Q.unit_top, False)), mode))
-    entries.append(law_entry("tensor-sup-left",
-                             first(sup_fail(Q.compose, "join", True)), mode))
-    entries.append(law_entry("tensor-sup-right",
-                             first(sup_fail(Q.compose, "join", False)), mode))
-    entries.append(law_entry("tensor-bottom-left",
-                             first(absorb_fail(Q.compose, "bottom", True)), mode))
-    entries.append(law_entry("tensor-bottom-right",
-                             first(absorb_fail(Q.compose, "bottom", False)), mode))
+    def sup(T, bound, left):
+        # the right law is the left one on the transposed table
+        for a, b, c in product(objs, repeat=3):
+            src, other = ((a, b), (b, c)) if left else ((b, c), (a, b))
+            agg = getattr(homs[src], bound)
+            out = getattr(homs[(a, c)], bound)
+            rows = T[(a, b, c)] if left else tuple(zip(*T[(a, b, c)]))
+            for f1, r1 in enumerate(rows):
+                agg_row = agg[f1]
+                for f2, r2 in enumerate(rows):
+                    lhs = rows[agg_row[f2]]
+                    rhs = tuple(out[x][y] for x, y in zip(r1, r2))
+                    if lhs != rhs:
+                        g = first_diff(lhs, rhs)
+                        return {"objects": [a, b, c], "f1": name(*src, f1),
+                                "f2": name(*src, f2), "g": name(*other, g),
+                                "lhs": name(a, c, lhs[g]),
+                                "rhs": name(a, c, rhs[g])}
+        return None
 
+    def absorb(T, bound, left):
+        def absorber(pair):
+            return homs[pair].index(getattr(homs[pair], bound))
+
+        for a, b, c in product(objs, repeat=3):
+            want = absorber((a, c))
+            if left:
+                src, key, got = (b, c), "g", T[(a, b, c)][absorber((a, b))]
+            else:
+                z = absorber((b, c))
+                src, key, got = (a, b), "f", tuple(row[z] for row in T[(a, b, c)])
+            for i, v in enumerate(got):
+                if v != want:
+                    return {"objects": [a, b, c], key: name(*src, i),
+                            "lhs": name(a, c, v)}
+        return None
+
+    def dist(left):
+        T, P = code.tensor, code.par
+        for a, b, c, d in product(objs, repeat=4):
+            leq = homs[(a, d)].leq_matrix
+            t_abc, t_acd, t_abd, t_bcd = (T[(a, b, c)], T[(a, c, d)],
+                                          T[(a, b, d)], T[(b, c, d)])
+            p_abc, p_acd, p_abd, p_bcd = (P[(a, b, c)], P[(a, c, d)],
+                                          P[(a, b, d)], P[(b, c, d)])
+            for f, g in product(range(len(t_abc)), range(len(t_bcd))):
+                if left:
+                    lhs = tuple(map(t_abd[f].__getitem__, p_bcd[g]))
+                    rhs = p_acd[t_abc[f][g]]
+                else:
+                    lhs = t_acd[p_abc[f][g]]
+                    rhs = tuple(map(p_abd[f].__getitem__, t_bcd[g]))
+                for h, (x, y) in enumerate(zip(lhs, rhs)):
+                    if not leq[x][y]:
+                        return {"objects": [a, b, c, d], "f": name(a, b, f),
+                                "g": name(b, c, g), "h": name(c, d, h),
+                                "lhs": name(a, d, x), "rhs": name(a, d, y)}
+        return None
+
+    layers = [("tensor", code.tensor, Q.units_top, "join_table", "sup", "bottom")]
     if Q.has_par:
-        entries.append(law_entry("par-associativity",
-                                 first(assoc_fail(Q.par_compose)), mode))
-        entries.append(law_entry("par-unit-left",
-                                 first(unit_fail(Q.par_compose, Q.unit_bot, True)), mode))
-        entries.append(law_entry("par-unit-right",
-                                 first(unit_fail(Q.par_compose, Q.unit_bot, False)), mode))
-        entries.append(law_entry("par-inf-left",
-                                 first(sup_fail(Q.par_compose, "meet", True)), mode))
-        entries.append(law_entry("par-inf-right",
-                                 first(sup_fail(Q.par_compose, "meet", False)), mode))
-        entries.append(law_entry("par-top-left",
-                                 first(absorb_fail(Q.par_compose, "top", True)), mode))
-        entries.append(law_entry("par-top-right",
-                                 first(absorb_fail(Q.par_compose, "top", False)), mode))
-
-        def dist_fail(left):
-            for a, b, c, d in product(Q.objects, repeat=4):
-                h_ad = Q.hom(a, d)
-                for f in _hom_elements(Q, a, b):
-                    for g in _hom_elements(Q, b, c):
-                        for h in _hom_elements(Q, c, d):
-                            if left:
-                                lhs = Q.compose(a, b, d, f, Q.par_compose(b, c, d, g, h))
-                                rhs = Q.par_compose(a, c, d, Q.compose(a, b, c, f, g), h)
-                            else:
-                                lhs = Q.compose(a, c, d, Q.par_compose(a, b, c, f, g), h)
-                                rhs = Q.par_compose(a, b, d, f, Q.compose(b, c, d, g, h))
-                            if not h_ad.leq(lhs, rhs):
-                                yield {"objects": [a, b, c, d], "f": f, "g": g,
-                                       "h": h, "lhs": lhs, "rhs": rhs}
-
-        entries.append(law_entry("linear-distribution-left", first(dist_fail(True)), mode))
-        entries.append(law_entry("linear-distribution-right", first(dist_fail(False)), mode))
-
-    return LawReport(suite, tuple(entries))
+        layers.append(("par", code.par, Q.units_bot, "meet_table", "inf", "top"))
+    checks = []
+    for op, T, units, bound, sup_name, absorber in layers:
+        checks += [
+            (f"{op}-associativity", assoc(T)),
+            (f"{op}-unit-left", unit(T, units, True)),
+            (f"{op}-unit-right", unit(T, units, False)),
+            (f"{op}-{sup_name}-left", sup(T, bound, True)),
+            (f"{op}-{sup_name}-right", sup(T, bound, False)),
+            (f"{op}-{absorber}-left", absorb(T, absorber, True)),
+            (f"{op}-{absorber}-right", absorb(T, absorber, False)),
+        ]
+    if Q.has_par:
+        checks += [("linear-distribution-left", dist(True)),
+                   ("linear-distribution-right", dist(False))]
+    return LawReport(suite, tuple(law_entry(label, wit, "exhaustive")
+                                  for label, wit in checks))
 
 
 # ---------------------------------------------------------------------------
 # Girard families
 
 
+def _dual_code(Q: FiniteQuantaloid, a: Obj, b: Obj, f: int, d: int,
+               left: bool) -> int:
+    """Index of the largest g: b->a with f.g below d in hom(a, a), or
+    with g.f below d in hom(b, b) when ``left``; f and d are indices."""
+    h_ba = Q.homs[(b, a)]
+    if left:
+        below = Q.homs[(b, b)].leq_matrix
+        composites = (row[f] for row in Q.coded.tensor[(b, a, b)])
+    else:
+        below = Q.homs[(a, a)].leq_matrix
+        composites = Q.coded.tensor[(a, b, a)][f]
+    join = h_ba.join_table
+    acc = h_ba.index(h_ba.bottom)
+    for g, v in enumerate(composites):
+        if below[v][d]:
+            acc = join[acc][g]
+    return acc
+
+
+def _hom_dual(Q: FiniteQuantaloid, a: Obj, b: Obj, f: str,
+              family: Mapping[Obj, str], left: bool) -> str:
+    h_ba = Q.hom(b, a)
+    at = b if left else a
+    d = Q.hom(at, at).index(family[at])
+    return h_ba.elements[_dual_code(Q, a, b, Q.hom(a, b).index(f), d, left)]
+
+
 def hom_dual(Q: FiniteQuantaloid, a: Obj, b: Obj, f: str,
              family: Mapping[Obj, str]) -> str:
     """Largest g: b->a with f.g below the family element at the source."""
-    h_ba = Q.hom(b, a)
-    d = family[a]
-    keep = [g for g in h_ba.elements
-            if Q.hom(a, a).leq(Q.compose(a, b, a, f, g), d)]
-    return h_ba.join(keep)
+    return _hom_dual(Q, a, b, f, family, left=False)
 
 
 def hom_dual_left(Q: FiniteQuantaloid, a: Obj, b: Obj, f: str,
                   family: Mapping[Obj, str]) -> str:
     """Largest g: b->a with g.f below the family element at the target."""
-    h_ba = Q.hom(b, a)
-    d = family[b]
-    keep = [g for g in h_ba.elements
-            if Q.hom(b, b).leq(Q.compose(b, a, b, g, f), d)]
-    return h_ba.join(keep)
+    return _hom_dual(Q, a, b, f, family, left=True)
 
 
 def check_girard_family(Q: FiniteQuantaloid, family: Mapping[Obj, str],
                         suite: str = "girard-family") -> LawReport:
+    d = {}
     for a in Q.objects:
         if a not in family:
             raise MismatchError(f"family is missing object {a!r}")
-        Q.hom(a, a).index(family[a])
-    mode = "exhaustive"
+        d[a] = Q.hom(a, a).index(family[a])
+    pairs = list(product(Q.objects, repeat=2))
 
-    cyc_wit = None
-    for a, b in product(Q.objects, repeat=2):
-        for f in _hom_elements(Q, a, b):
-            lhs = hom_dual(Q, a, b, f, family)
-            rhs = hom_dual_left(Q, a, b, f, family)
-            if lhs != rhs:
-                cyc_wit = {"objects": [a, b], "f": f, "lhs": lhs, "rhs": rhs}
-                break
-        if cyc_wit:
-            break
+    def duals(left: bool) -> dict[Hom, list[int]]:
+        return {(a, b): [_dual_code(Q, a, b, f, d[b if left else a], left)
+                         for f in range(len(Q.homs[(a, b)]))]
+                for a, b in pairs}
 
-    dd_wit = None
-    for a, b in product(Q.objects, repeat=2):
-        for f in _hom_elements(Q, a, b):
-            fd = hom_dual(Q, a, b, f, family)
-            fdd = hom_dual(Q, b, a, fd, family)
-            if fdd != f:
-                dd_wit = {"objects": [a, b], "f": f, "dual": fd, "double": fdd}
-                break
-        if dd_wit:
-            break
-
+    right, left = duals(False), duals(True)
+    cyc_wit = dd_wit = None
+    for a, b in pairs:
+        for f, (fd, fl) in enumerate(zip(right[(a, b)], left[(a, b)])):
+            if cyc_wit is None and fd != fl:
+                cyc_wit = {"objects": [a, b], "f": _name(Q, a, b, f),
+                           "lhs": _name(Q, b, a, fd), "rhs": _name(Q, b, a, fl)}
+            fdd = right[(b, a)][fd]
+            if dd_wit is None and fdd != f:
+                dd_wit = {"objects": [a, b], "f": _name(Q, a, b, f),
+                          "dual": _name(Q, b, a, fd), "double": _name(Q, a, b, fdd)}
     return LawReport(suite, (
-        law_entry("girard-cyclic", cyc_wit, mode),
-        law_entry("girard-double-dual", dd_wit, mode),
+        law_entry("girard-cyclic", cyc_wit, "exhaustive"),
+        law_entry("girard-double-dual", dd_wit, "exhaustive"),
     ))
 
 
@@ -392,7 +449,7 @@ def check_monad(Q: FiniteQuantaloid, monad: Monad) -> bool:
 def monads_of(Q: FiniteQuantaloid) -> list[Monad]:
     out = []
     for a in Q.objects:
-        for m in _hom_elements(Q, a, a):
+        for m in Q.hom(a, a).elements:
             cand = Monad(a, m)
             if check_monad(Q, cand):
                 out.append(cand)
@@ -443,7 +500,7 @@ def monq_quantaloid(Q: FiniteQuantaloid, monads: Sequence[Monad] | None = None,
     bim_elems: dict[tuple[Monad, Monad], list[str]] = {}
     for m in monads:
         for n in monads:
-            elems = [f for f in _hom_elements(Q, m.obj, n.obj)
+            elems = [f for f in Q.hom(m.obj, n.obj).elements
                      if check_monad_bimodule(Q, MonadBimodule(m, n, f))]
             bim_elems[(m, n)] = elems
             homs[(names[m], names[n])] = _sublattice(Q.hom(m.obj, n.obj), elems)
@@ -491,7 +548,9 @@ class LinearMonadBimodule:
     f_par: str
 
 
-def check_linear_monad(Q: FiniteQuantaloid, lm: LinearMonad) -> bool:
+def _linear_monad_laws(Q: FiniteQuantaloid, lm: LinearMonad):
+    """Each linear monad law's label and whether it holds, in law order,
+    evaluated one at a time so a check can stop at the first failure."""
     if not Q.has_par:
         raise NoParStructureError("linear monads need a par layer")
     a = lm.obj
@@ -499,79 +558,67 @@ def check_linear_monad(Q: FiniteQuantaloid, lm: LinearMonad) -> bool:
     t, p = lm.m_tensor, lm.m_par
     comp = lambda f, g: Q.compose(a, a, a, f, g)
     pcomp = lambda f, g: Q.par_compose(a, a, a, f, g)
-    return (h.leq(Q.unit_top(a), t)
-            and h.leq(comp(t, t), t)
-            and h.leq(p, Q.unit_bot(a))
-            and h.leq(p, pcomp(p, p))
-            and h.leq(t, pcomp(p, t))
-            and h.leq(t, pcomp(t, p))
-            and h.leq(comp(t, p), p)
-            and h.leq(comp(p, t), p))
+    yield "monad-unit", h.leq(Q.unit_top(a), t)
+    yield "monad-multiplication", h.leq(comp(t, t), t)
+    yield "comonad-counit", h.leq(p, Q.unit_bot(a))
+    yield "comonad-comultiplication", h.leq(p, pcomp(p, p))
+    yield "monad-mixed-par-tensor", h.leq(t, pcomp(p, t))
+    yield "monad-mixed-tensor-par", h.leq(t, pcomp(t, p))
+    yield "monad-mixed-absorb-right", h.leq(comp(t, p), p)
+    yield "monad-mixed-absorb-left", h.leq(comp(p, t), p)
+
+
+def check_linear_monad(Q: FiniteQuantaloid, lm: LinearMonad) -> bool:
+    return all(ok for _, ok in _linear_monad_laws(Q, lm))
 
 
 def validate_linear_monad(Q: FiniteQuantaloid, lm: LinearMonad,
                           suite: str = "linear-monad") -> LawReport:
     """Per-law report form of the linear monad conditions."""
-    if not Q.has_par:
-        raise NoParStructureError("linear monads need a par layer")
-    a = lm.obj
-    h = Q.hom(a, a)
-    t, p = lm.m_tensor, lm.m_par
-    comp = lambda f, g: Q.compose(a, a, a, f, g)
-    pcomp = lambda f, g: Q.par_compose(a, a, a, f, g)
-    checks = (
-        ("monad-unit", h.leq(Q.unit_top(a), t)),
-        ("monad-multiplication", h.leq(comp(t, t), t)),
-        ("comonad-counit", h.leq(p, Q.unit_bot(a))),
-        ("comonad-comultiplication", h.leq(p, pcomp(p, p))),
-        ("monad-mixed-par-tensor", h.leq(t, pcomp(p, t))),
-        ("monad-mixed-tensor-par", h.leq(t, pcomp(t, p))),
-        ("monad-mixed-absorb-right", h.leq(comp(t, p), p)),
-        ("monad-mixed-absorb-left", h.leq(comp(p, t), p)),
-    )
-    entries = tuple(
-        law_entry(label, None if ok else {"object": a, "m_tensor": t, "m_par": p},
-                  "exhaustive")
-        for label, ok in checks)
-    return LawReport(suite, entries)
+    wit = {"object": lm.obj, "m_tensor": lm.m_tensor, "m_par": lm.m_par}
+    return LawReport(suite, tuple(
+        law_entry(label, None if ok else dict(wit), "exhaustive")
+        for label, ok in _linear_monad_laws(Q, lm)))
 
 
-def validate_linear_monad_bimodule(Q: FiniteQuantaloid, bim: LinearMonadBimodule,
-                                   suite: str = "linear-monad-bimodule") -> LawReport:
+def _linear_bimodule_laws(Q: FiniteQuantaloid, bim: LinearMonadBimodule):
+    """Each linear monad bimodule law's label and whether it holds, in law
+    order, evaluated one at a time."""
     src, tgt = bim.source, bim.target
     a, b = src.obj, tgt.obj
     ft, fp = bim.f_tensor, bim.f_par
     h_ab, h_ba = Q.hom(a, b), Q.hom(b, a)
-    checks = (
-        ("mbim-tensor-right-action",
-         h_ab.leq(Q.compose(a, b, b, ft, tgt.m_tensor), ft)),
-        ("mbim-tensor-left-action",
-         h_ab.leq(Q.compose(a, a, b, src.m_tensor, ft), ft)),
-        ("mbim-tensor-left-coaction",
-         h_ab.leq(ft, Q.par_compose(a, a, b, src.m_par, ft))),
-        ("mbim-tensor-right-coaction",
-         h_ab.leq(ft, Q.par_compose(a, b, b, ft, tgt.m_par))),
-        ("mbim-par-left-coaction",
-         h_ba.leq(fp, Q.par_compose(b, b, a, tgt.m_par, fp))),
-        ("mbim-par-right-coaction",
-         h_ba.leq(fp, Q.par_compose(b, a, a, fp, src.m_par))),
-        ("mbim-par-left-action",
-         h_ba.leq(Q.compose(b, b, a, tgt.m_tensor, fp), fp)),
-        ("mbim-par-right-action",
-         h_ba.leq(Q.compose(b, a, a, fp, src.m_tensor), fp)),
-    )
-    entries = tuple(
-        law_entry(label, None if ok else {"f_tensor": ft, "f_par": fp},
-                  "exhaustive")
-        for label, ok in checks)
-    return LawReport(suite, entries)
+    yield ("mbim-tensor-right-action",
+           h_ab.leq(Q.compose(a, b, b, ft, tgt.m_tensor), ft))
+    yield ("mbim-tensor-left-action",
+           h_ab.leq(Q.compose(a, a, b, src.m_tensor, ft), ft))
+    yield ("mbim-tensor-left-coaction",
+           h_ab.leq(ft, Q.par_compose(a, a, b, src.m_par, ft)))
+    yield ("mbim-tensor-right-coaction",
+           h_ab.leq(ft, Q.par_compose(a, b, b, ft, tgt.m_par)))
+    yield ("mbim-par-left-coaction",
+           h_ba.leq(fp, Q.par_compose(b, b, a, tgt.m_par, fp)))
+    yield ("mbim-par-right-coaction",
+           h_ba.leq(fp, Q.par_compose(b, a, a, fp, src.m_par)))
+    yield ("mbim-par-left-action",
+           h_ba.leq(Q.compose(b, b, a, tgt.m_tensor, fp), fp))
+    yield ("mbim-par-right-action",
+           h_ba.leq(Q.compose(b, a, a, fp, src.m_tensor), fp))
+
+
+def validate_linear_monad_bimodule(Q: FiniteQuantaloid, bim: LinearMonadBimodule,
+                                   suite: str = "linear-monad-bimodule") -> LawReport:
+    wit = {"f_tensor": bim.f_tensor, "f_par": bim.f_par}
+    return LawReport(suite, tuple(
+        law_entry(label, None if ok else dict(wit), "exhaustive")
+        for label, ok in _linear_bimodule_laws(Q, bim)))
 
 
 def linear_monads_of(Q: FiniteQuantaloid) -> list[LinearMonad]:
     out = []
     for a in Q.objects:
-        for t in _hom_elements(Q, a, a):
-            for p in _hom_elements(Q, a, a):
+        for t in Q.hom(a, a).elements:
+            for p in Q.hom(a, a).elements:
                 cand = LinearMonad(a, t, p)
                 if check_linear_monad(Q, cand):
                     out.append(cand)
@@ -580,25 +627,14 @@ def linear_monads_of(Q: FiniteQuantaloid) -> list[LinearMonad]:
 
 def check_linear_monad_bimodule(Q: FiniteQuantaloid,
                                 bim: LinearMonadBimodule) -> bool:
-    src, tgt = bim.source, bim.target
-    a, b = src.obj, tgt.obj
-    ft, fp = bim.f_tensor, bim.f_par
-    h_ab, h_ba = Q.hom(a, b), Q.hom(b, a)
-    return (h_ab.leq(Q.compose(a, b, b, ft, tgt.m_tensor), ft)
-            and h_ab.leq(Q.compose(a, a, b, src.m_tensor, ft), ft)
-            and h_ab.leq(ft, Q.par_compose(a, a, b, src.m_par, ft))
-            and h_ab.leq(ft, Q.par_compose(a, b, b, ft, tgt.m_par))
-            and h_ba.leq(fp, Q.par_compose(b, b, a, tgt.m_par, fp))
-            and h_ba.leq(fp, Q.par_compose(b, a, a, fp, src.m_par))
-            and h_ba.leq(Q.compose(b, b, a, tgt.m_tensor, fp), fp)
-            and h_ba.leq(Q.compose(b, a, a, fp, src.m_tensor), fp))
+    return all(ok for _, ok in _linear_bimodule_laws(Q, bim))
 
 
 def linear_monad_bimodules(Q: FiniteQuantaloid, src: LinearMonad,
                            tgt: LinearMonad) -> list[LinearMonadBimodule]:
     out = []
-    for ft in _hom_elements(Q, src.obj, tgt.obj):
-        for fp in _hom_elements(Q, tgt.obj, src.obj):
+    for ft in Q.hom(src.obj, tgt.obj).elements:
+        for fp in Q.hom(tgt.obj, src.obj).elements:
             cand = LinearMonadBimodule(src, tgt, ft, fp)
             if check_linear_monad_bimodule(Q, cand):
                 out.append(cand)
@@ -834,6 +870,9 @@ def quantaloid_from_json(obj: dict) -> FiniteQuantaloid:
             if key not in hom_blobs:
                 raise InputFormatError(f"missing hom block {key!r}")
             blob = hom_blobs[key]
+            if not isinstance(blob, dict) or not {"elements", "covers"} <= blob.keys():
+                raise InputFormatError(
+                    f"hom block {key!r} needs 'elements' and 'covers'")
             homs[(a, b)] = build_lattice(blob["elements"],
                                          [tuple(p) for p in blob["covers"]])
 

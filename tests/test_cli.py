@@ -164,3 +164,35 @@ def test_unknown_command_exit_two():
 
 def test_missing_file_exit_two(tmp_path):
     assert main(["check-quantale", str(tmp_path / "absent.json")]) == 2
+
+
+def _bool_quantaloid_blob():
+    from linrel.quantaloid import one_object_quantaloid, quantaloid_to_json
+    from linrel.verify import catalog_entry
+    return quantaloid_to_json(one_object_quantaloid(catalog_entry("bool").ld))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob["units"].clear(),
+    lambda blob: blob["par_units"].clear(),
+    lambda blob: blob["homs"].update({"*->*": [1, 2]}),
+    lambda blob: blob["homs"].update({"*->*": {"elements": ["0", "1"]}}),
+], ids=["missing-unit", "missing-par-unit", "hom-block-array",
+        "hom-block-without-covers"])
+def test_bad_quantaloid_file_exit_two(damage, tmp_path, capsys):
+    blob = _bool_quantaloid_blob()
+    damage(blob)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(blob))
+    assert main(["verify-monq", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify-monq", "check-quantale"])
+def test_top_level_array_exit_two(command, tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "JSON object" in err and "Traceback" not in err

@@ -3,7 +3,12 @@ construction theorems."""
 
 import pytest
 
-from linrel.errors import NoParStructureError, SearchSpaceError
+from linrel.errors import (
+    MismatchError,
+    NoParStructureError,
+    SearchSpaceError,
+    UnknownElementError,
+)
 from linrel.lattice import chain
 from linrel.quantale import table_quantale
 from linrel.quantaloid import (
@@ -77,6 +82,24 @@ def test_one_object_laws_match_quantale():
 
 def test_two_object_quantaloid_passes():
     assert check_quantaloid_laws(two_object_bool()).ok
+
+
+def test_compose_errors():
+    Q = bool_base()
+    assert Q.compose("*", "*", "*", "1", "1") == "1"
+    assert Q.par_compose("*", "*", "*", "0", "0") == "0"
+    for compose in (Q.compose, Q.par_compose):
+        with pytest.raises(UnknownElementError):
+            compose("*", "*", "*", "2", "1")
+        with pytest.raises(UnknownElementError):
+            compose("*", "*", "*", "1", "2")
+        with pytest.raises(MismatchError):
+            compose("*", "x", "*", "1", "1")
+    Q2 = two_object_bool()
+    with pytest.raises(MismatchError):
+        Q2.compose("a", "b", "c", "1", "1")
+    with pytest.raises(NoParStructureError):
+        Q2.par_compose("a", "b", "a", "1", "1")
 
 
 def test_broken_unit_detected():
