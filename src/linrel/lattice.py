@@ -44,7 +44,10 @@ class FiniteLattice:
         return len(self.elements)
 
     def __contains__(self, name: object) -> bool:
-        return name in self._index
+        try:
+            return name in self._index
+        except TypeError:  # unhashable, so no element name
+            return False
 
     def index(self, name: str) -> int:
         try:

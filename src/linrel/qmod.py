@@ -669,19 +669,29 @@ def _search(base: FiniteQuantaloid, laws: Sequence[_Law], rhos: Mapping,
                 last = max(pos[c] for c in law.cells(idx) if c in pos)
                 checks[last].append((law, objs, idx))
 
-    def extend(k: int):
-        if k == len(order):
-            yield tuple(tuple(map(tuple, grids[m])) for m in fill)
-            return
+    # Depth-first over an explicit stack of value iterators, one per set
+    # cell.  A nested generator recursing into itself would hold itself
+    # through its closure cell, a cycle that keeps the grids and the base
+    # quantaloid alive until the cyclic collector runs.
+    stack = [iter(pools[0])] if order else []
+    if not order:
+        yield tuple(tuple(map(tuple, grids[m])) for m in fill)
+    while stack:
+        k = len(stack) - 1
         m, r, c = order[k]
         row = grids[m][r]
-        for value in pools[k]:
+        for value in stack[k]:
             row[c] = value
             if all(law.evaluate(base, mats, objs, idx)[0]
                    for law, objs, idx in checks[k]):
-                yield from extend(k + 1)
-
-    return extend(0)
+                break
+        else:
+            stack.pop()
+            continue
+        if k + 1 < len(order):
+            stack.append(iter(pools[k + 1]))
+        else:
+            yield tuple(tuple(map(tuple, grids[m])) for m in fill)
 
 
 def enumerate_qcategories(base: FiniteQuantaloid, members: Sequence[str],

@@ -87,13 +87,18 @@ def _require_composable(f: QRelation, g: QRelation) -> None:
         raise MismatchError("relations live over different quantales")
 
 
+def _columns(r: QRelation) -> list[tuple[Elem, ...]]:
+    """The columns of ``r``'s matrix, one per target member."""
+    return list(zip(*r.values)) if r.values else [()] * len(r.target)
+
+
 def _compose(f: QRelation, g: QRelation, kernel, op, agg) -> QRelation:
     """``agg`` over the middle set of pointwise ``op`` products; ``kernel``
-    is the ambient's FoldKernel for the pair, or None on ZInt backends."""
+    is the ambient's FoldKernel for the pair, or None on ZInt backends,
+    whose unchecked ``op`` trusts the relations' validated entries."""
     if kernel is None:
-        gv, ny, nz = g.values, len(f.target), len(g.target)
-        vals = tuple(tuple(agg([op(frow[y], gv[y][z]) for y in range(ny)])
-                           for z in range(nz))
+        cols = _columns(g)
+        vals = tuple(tuple(agg(map(op, frow, col)) for col in cols)
                      for frow in f.values)
     else:
         vals = kernel.compose(f.values, g.values, len(g.target))
@@ -104,8 +109,8 @@ def compose_tensor(f: QRelation, g: QRelation) -> QRelation:
     """Join over the middle set of pointwise tensor products."""
     _require_composable(f, g)
     amb = f.ambient
-    return _compose(f, g, getattr(amb, "tensor_fold", None), amb.tensor,
-                    amb.join)
+    return _compose(f, g, getattr(amb, "tensor_fold", None), amb.mul,
+                    amb.carrier.join)
 
 
 def compose_par(f: QRelation, g: QRelation) -> QRelation:
@@ -113,7 +118,8 @@ def compose_par(f: QRelation, g: QRelation) -> QRelation:
     _require_composable(f, g)
     _require_par(f.ambient)
     amb = f.ambient
-    return _compose(f, g, getattr(amb, "par_fold", None), amb.par, amb.meet)
+    return _compose(f, g, getattr(amb, "par_fold", None), amb.par_mul,
+                    amb.carrier.meet)
 
 
 def id_top(X: FiniteSet, amb: Ambient) -> QRelation:
@@ -176,14 +182,11 @@ def right_extension(f: QRelation, h: QRelation) -> QRelation:
     if f.source != h.source or f.ambient != h.ambient:
         raise MismatchError("right extension needs a common source")
     amb = f.ambient
-    rr = amb.residual_right
-    mt = amb.meet
-    X, Y, Z = f.source, f.target, h.target
-    vals = tuple(
-        tuple(mt([rr(f.values[x][y], h.values[x][z]) for x in range(len(X))])
-              for z in range(len(Z)))
-        for y in range(len(Y)))
-    return QRelation(Y, Z, amb, vals)
+    rr, mt = amb.res_right, amb.carrier.meet
+    hcols = _columns(h)
+    vals = tuple(tuple(mt(map(rr, fc, hc)) for hc in hcols)
+                 for fc in _columns(f))
+    return QRelation(f.target, h.target, amb, vals)
 
 
 def right_lifting(h: QRelation, f: QRelation) -> QRelation:
@@ -191,14 +194,10 @@ def right_lifting(h: QRelation, f: QRelation) -> QRelation:
     if f.target != h.target or f.ambient != h.ambient:
         raise MismatchError("right lifting needs a common target")
     amb = f.ambient
-    rl = amb.residual_left
-    mt = amb.meet
-    Z, Y, X = h.source, f.target, f.source
-    vals = tuple(
-        tuple(mt([rl(h.values[z][y], f.values[x][y]) for y in range(len(Y))])
-              for x in range(len(X)))
-        for z in range(len(Z)))
-    return QRelation(Z, X, amb, vals)
+    rl, mt = amb.res_left, amb.carrier.meet
+    vals = tuple(tuple(mt(map(rl, hrow, frow)) for frow in f.values)
+                 for hrow in h.values)
+    return QRelation(h.source, f.source, amb, vals)
 
 
 def dual_family(X: FiniteSet, amb: Ambient, d: Elem | None = None) -> QRelation:
@@ -221,10 +220,8 @@ def rel_dual(r: QRelation, d: Elem | None = None) -> QRelation:
         d = getattr(amb, "dualizer", None)
         if d is None:
             raise NotGirardError("relation dual needs a Girard ambient")
-    rr = amb.residual_right
-    vals = tuple(
-        tuple(rr(r.values[x][y], d) for x in range(len(r.source)))
-        for y in range(len(r.target)))
+    rr, d = amb.res_right, amb.carrier.check(d)
+    vals = tuple(tuple(rr(v, d) for v in col) for col in _columns(r))
     return QRelation(r.target, r.source, amb, vals)
 
 

@@ -11,10 +11,10 @@ both views.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
-from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable, Sequence
 
 from .errors import (
     InputFormatError,
@@ -44,6 +44,18 @@ def zint_leq(a: Elem, b: Elem) -> bool:
     if a == PLUS_INF or b == MINUS_INF:
         return False
     return a <= b
+
+
+def _zint_extreme(absorbing: str, empty: str, pick, items: Iterable[Elem]) -> Elem:
+    """``pick`` of the integers among ``items``; ``absorbing`` wins outright,
+    and ``empty`` stands for no integers at all."""
+    ints = []
+    for v in items:
+        if v.__class__ is int:
+            ints.append(v)
+        elif v == absorbing:
+            return absorbing
+    return pick(ints) if ints else empty
 
 
 @dataclass(frozen=True)
@@ -103,19 +115,17 @@ class ZIntCarrier:
     def leq(self, a: Elem, b: Elem) -> bool:
         return zint_leq(b, a) if self.reverse else zint_leq(a, b)
 
-    def join(self, items: Iterable[Elem]) -> Elem:
-        acc = self.bottom
-        for v in items:
-            if self.leq(acc, v):
-                acc = v
-        return acc
+    # Closed-form lattice operations on validated elements: max or min of
+    # the integers, unless the absorbing infinity occurs.
+    @cached_property
+    def join(self) -> Callable[[Iterable[Elem]], Elem]:
+        return partial(_zint_extreme, self.top, self.bottom,
+                       min if self.reverse else max)
 
-    def meet(self, items: Iterable[Elem]) -> Elem:
-        acc = self.top
-        for v in items:
-            if self.leq(v, acc):
-                acc = v
-        return acc
+    @cached_property
+    def meet(self) -> Callable[[Iterable[Elem]], Elem]:
+        return partial(_zint_extreme, self.bottom, self.top,
+                       max if self.reverse else min)
 
     @property
     def bottom(self) -> Elem:
@@ -150,14 +160,24 @@ class ZIntOp:
     dominant: str
     shift: int = 0
 
+    # Both kernels are unchecked: a non-int that is not ``dominant`` reads
+    # as the other infinity, so callers validate their elements first.
+
     def apply(self, a: Elem, b: Elem) -> Elem:
+        if a.__class__ is int and b.__class__ is int:
+            return a + b - self.shift
         dom = self.dominant
         if a == dom or b == dom:
             return dom
-        other = PLUS_INF if dom == MINUS_INF else MINUS_INF
-        if a == other or b == other:
-            return other
-        return a + b - self.shift
+        return PLUS_INF if dom == MINUS_INF else MINUS_INF
+
+    def residual(self, a: Elem, b: Elem) -> Elem:
+        """The largest c with a (x) c <= b, when ``dominant`` is the bottom."""
+        if a.__class__ is int and b.__class__ is int:
+            return b - a + self.shift
+        bot = self.dominant
+        top = PLUS_INF if bot == MINUS_INF else MINUS_INF
+        return top if a == bot or b == top else bot
 
 
 # A middle-set length is tabulated by FoldKernel when the carrier has at
@@ -270,54 +290,69 @@ class Quantale(CarrierOrder):
     has_par = False
 
     # -- multiplication and residuals ------------------------------------
+    # ``tensor`` and the residuals validate their arguments; the kernels
+    # ``mul``, ``res_right`` and ``res_left`` trust them, for callers that
+    # validated their elements once at the boundary.  Finite residuals
+    # still scan the carrier, checked, until they get tables of their own.
 
     def tensor(self, a: Elem, b: Elem) -> Elem:
-        if isinstance(self.op, TableOp):
-            lat = self.carrier.lattice
-            return self.op.table[lat.index(a)][lat.index(b)]
-        self.carrier.check(a)
-        self.carrier.check(b)
-        return self.op.apply(a, b)
+        check = self.carrier.check
+        return self.mul(check(a), check(b))
 
     def residual_right(self, a: Elem, b: Elem) -> Elem:
         """The largest c with a (x) c <= b."""
+        check = self.carrier.check
+        a, b = check(a), check(b)
         if isinstance(self.op, ZIntOp):
             return self._zint_residual(a, b)
-        self.carrier.check(a)
-        self.carrier.check(b)
         tm = self.tensor_map
         return self.join(c for c in self.carrier.sample_elements()
                          if self.leq(tm[a][c], b))
 
     def residual_left(self, b: Elem, a: Elem) -> Elem:
         """The largest c with c (x) a <= b."""
+        check = self.carrier.check
+        a, b = check(a), check(b)
         if isinstance(self.op, ZIntOp):
             # saturating addition is commutative
             return self._zint_residual(a, b)
-        self.carrier.check(a)
-        self.carrier.check(b)
         tm = self.tensor_map
         return self.join(c for c in self.carrier.sample_elements()
                          if self.leq(tm[c][a], b))
 
-    def _zint_residual(self, a: Elem, b: Elem) -> Elem:
-        self.carrier.check(a)
-        self.carrier.check(b)
-        top, bot = self.carrier.top, self.carrier.bottom
-        if self.op.dominant != bot:
+    @cached_property
+    def mul(self) -> Callable[[Elem, Elem], Elem]:
+        if isinstance(self.op, ZIntOp):
+            return self.op.apply
+        tm = self.tensor_map
+        return lambda a, b: tm[a][b]
+
+    # Plain properties: caching a bound method of self on self would make
+    # a reference cycle.
+    @property
+    def res_right(self) -> Callable[[Elem, Elem], Elem]:
+        if isinstance(self.op, ZIntOp):
+            return self._zint_residual
+        return self.residual_right
+
+    @property
+    def res_left(self) -> Callable[[Elem, Elem], Elem]:
+        if isinstance(self.op, ZIntOp):
+            res = self._zint_residual
+            return lambda b, a: res(a, b)
+        return self.residual_left
+
+    @cached_property
+    def _zint_residual(self) -> Callable[[Elem, Elem], Elem]:
+        if self.op.dominant == self.carrier.bottom:
+            return self.op.residual
+
+        def refuse(a: Elem, b: Elem) -> Elem:
             raise StructureError(
                 "closed-form residual needs the absorbing infinity "
                 "at the bottom of the order"
             )
-        if a == bot:
-            return top
-        if a == top:
-            return top if b == top else bot
-        if b == top:
-            return top
-        if b == bot:
-            return bot
-        return b - a + self.op.shift
+        return refuse
 
     # -- lookup tables for hot composition loops -------------------------
 
@@ -377,6 +412,11 @@ def arctic_quantale() -> Quantale:
 # Girard structure
 
 
+def _part(path: str) -> cached_property:
+    """Forward an attribute to a part of the structure, read once."""
+    return cached_property(attrgetter(path))
+
+
 @dataclass(frozen=True)
 class GirardQuantale(CarrierOrder):
     """A quantale with a chosen cyclic dualizing element."""
@@ -386,26 +426,18 @@ class GirardQuantale(CarrierOrder):
 
     has_par = True
 
-    @cached_property
-    def carrier(self):
-        return self.base.carrier
-
-    @property
-    def unit(self) -> Elem:
-        return self.base.unit
-
-    @property
-    def par_unit(self) -> Elem:
-        return self.dualizer
-
-    def tensor(self, a, b):
-        return self.base.tensor(a, b)
-
-    def residual_right(self, a, b):
-        return self.base.residual_right(a, b)
-
-    def residual_left(self, b, a):
-        return self.base.residual_left(b, a)
+    carrier = _part("base.carrier")
+    unit = _part("base.unit")
+    par_unit = _part("dualizer")
+    tensor = _part("base.tensor")
+    residual_right = _part("base.residual_right")
+    residual_left = _part("base.residual_left")
+    mul = _part("base.mul")
+    res_right = _part("base.res_right")
+    res_left = _part("base.res_left")
+    tensor_map = _part("base.tensor_map")
+    join_map = _part("base.join_map")
+    meet_map = _part("base.meet_map")
 
     def neg(self, a: Elem) -> Elem:
         """Linear negation: the residual of the dualizer."""
@@ -413,19 +445,13 @@ class GirardQuantale(CarrierOrder):
 
     def par(self, a: Elem, b: Elem) -> Elem:
         """De Morgan dual multiplication: neg(neg(b) (x) neg(a))."""
-        return self.neg(self.base.tensor(self.neg(b), self.neg(a)))
+        check = self.carrier.check
+        return self.par_mul(check(a), check(b))
 
     @cached_property
-    def tensor_map(self):
-        return self.base.tensor_map
-
-    @cached_property
-    def join_map(self):
-        return self.base.join_map
-
-    @cached_property
-    def meet_map(self):
-        return self.base.meet_map
+    def par_mul(self) -> Callable[[Elem, Elem], Elem]:
+        mul, rr, d = self.base.mul, self.base.res_right, self.dualizer
+        return lambda a, b: rr(mul(rr(b, d), rr(a, d)), d)
 
     @cached_property
     def par_map(self) -> dict | None:
@@ -435,27 +461,32 @@ class GirardQuantale(CarrierOrder):
         return {a: {b: self.par(a, b) for b in els} for a in els}
 
 
+def _validated(q, sample: Sequence[Elem] | None, window: int = 10) -> list[Elem]:
+    """The sample (default: the carrier's), every element checked once."""
+    if sample is None:
+        return q.sample_elements(window)
+    check = q.carrier.check
+    return [check(v) for v in sample]
+
+
 def is_cyclic_dualizing(q: Quantale, d: Elem,
                         sample: Sequence[Elem] | None = None) -> bool:
     """True iff both residuations into d agree and double negation is identity."""
     q.carrier.check(d)
-    if sample is None:
-        sample = q.sample_elements()
-    rr, rl = q.residual_right, q.residual_left
-    for a in sample:
-        if rl(d, a) != rr(a, d):
-            return False
-        if rr(rr(a, d), d) != a:
-            return False
-    return True
+    return _dualizes(q, d, _validated(q, sample))
+
+
+def _dualizes(q: Quantale, d: Elem, sample: Sequence[Elem]) -> bool:
+    """``is_cyclic_dualizing`` on an already validated ``d`` and sample."""
+    rr, rl = q.res_right, q.res_left
+    return all(rl(d, a) == rr(a, d) and rr(rr(a, d), d) == a for a in sample)
 
 
 def find_dualizers(q: Quantale,
                    sample: Sequence[Elem] | None = None) -> tuple[Elem, ...]:
     """Scan candidate elements; empty result means no Girard structure found."""
-    if sample is None:
-        sample = q.sample_elements()
-    return tuple(d for d in sample if is_cyclic_dualizing(q, d, sample))
+    sample = _validated(q, sample)
+    return tuple(d for d in sample if _dualizes(q, d, sample))
 
 
 def girard_quantale(base: Quantale, dualizer: Elem,
@@ -483,45 +514,21 @@ class LDQuantale(CarrierOrder):
 
     has_par = True
 
-    @cached_property
-    def carrier(self):
-        return self.tensor_part.carrier
-
-    @property
-    def unit(self) -> Elem:
-        return self.tensor_part.unit
-
-    @property
-    def par_unit(self) -> Elem:
-        return self.par_part.unit
-
-    def tensor(self, a, b):
-        return self.tensor_part.tensor(a, b)
-
-    def par(self, a, b):
-        return self.par_part.tensor(a, b)
-
-    def residual_right(self, a, b):
-        return self.tensor_part.residual_right(a, b)
-
-    def residual_left(self, b, a):
-        return self.tensor_part.residual_left(b, a)
-
-    @cached_property
-    def tensor_map(self):
-        return self.tensor_part.tensor_map
-
-    @cached_property
-    def par_map(self):
-        return self.par_part.tensor_map
-
-    @cached_property
-    def join_map(self):
-        return self.tensor_part.join_map
-
-    @cached_property
-    def meet_map(self):
-        return self.tensor_part.meet_map
+    carrier = _part("tensor_part.carrier")
+    unit = _part("tensor_part.unit")
+    par_unit = _part("par_part.unit")
+    tensor = _part("tensor_part.tensor")
+    par = _part("par_part.tensor")
+    residual_right = _part("tensor_part.residual_right")
+    residual_left = _part("tensor_part.residual_left")
+    mul = _part("tensor_part.mul")
+    par_mul = _part("par_part.mul")
+    res_right = _part("tensor_part.res_right")
+    res_left = _part("tensor_part.res_left")
+    tensor_map = _part("tensor_part.tensor_map")
+    par_map = _part("par_part.tensor_map")
+    join_map = _part("tensor_part.join_map")
+    meet_map = _part("tensor_part.meet_map")
 
 
 def girard_to_ld(g: GirardQuantale) -> LDQuantale:
@@ -557,9 +564,10 @@ def _mult_law_entries(q: Quantale, sample: Sequence[Elem],
     For a par part on the opposite carrier the same checks read as meet
     preservation and absorption by the original top, which is exactly the
     dual quantale axiom set.
+    The sample must be validated; the loops run the unchecked kernels.
     """
-    t = q.tensor
-    jn = q.join
+    t = q.mul
+    jn = q.carrier.join
     bot = q.bottom
     unit = q.unit
     lab_assoc, lab_ul, lab_ur, lab_sl, lab_sr, lab_bl, lab_br = labels
@@ -622,8 +630,7 @@ def check_quantale_laws(q: Quantale, domain_sample: Sequence[Elem] | None = None
                         suite: str = "quantale-laws",
                         window: int = 10) -> LawReport:
     """Associativity, units, and two-sided join preservation over a sample."""
-    sample = list(domain_sample) if domain_sample is not None \
-        else q.sample_elements(window)
+    sample = _validated(q, domain_sample, window)
     mode = "exhaustive" if q.carrier.is_finite and domain_sample is None \
         else f"sample({len(sample)})"
     return LawReport(suite, tuple(_mult_law_entries(q, sample, _TENSOR_LABELS, mode)))
@@ -632,14 +639,13 @@ def check_quantale_laws(q: Quantale, domain_sample: Sequence[Elem] | None = None
 def check_ld_laws(ld: LDQuantale, domain_sample: Sequence[Elem] | None = None,
                   suite: str = "ld-laws", window: int = 10) -> LawReport:
     """Both quantale structures plus the two linear distributions."""
-    sample = list(domain_sample) if domain_sample is not None \
-        else ld.sample_elements(window)
+    sample = _validated(ld, domain_sample, window)
     mode = "exhaustive" if ld.carrier.is_finite and domain_sample is None \
         else f"sample({len(sample)})"
     entries = _mult_law_entries(ld.tensor_part, sample, _TENSOR_LABELS, mode)
     entries += _mult_law_entries(ld.par_part, sample, _PAR_LABELS, mode)
 
-    t, p, leq = ld.tensor, ld.par, ld.leq
+    t, p, leq = ld.mul, ld.par_mul, ld.carrier.leq
     wit = None
     for a, b, c in product(sample, repeat=3):
         lhs, rhs = t(a, p(b, c)), p(t(a, b), c)

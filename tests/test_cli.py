@@ -94,6 +94,22 @@ def test_compose_roundtrip(files, capsys):
     assert relation_from_json(blob, amb) == compose_tensor(f, g)
 
 
+def test_compose_refuses_unhashable_table_entry(files, capsys):
+    # a list is no element name; it must not reach the table lookups
+    f = files["dir"] / "list_entry.json"
+    f.write_text(json.dumps({"source": {"name": "A", "members": ["a"]},
+                             "target": {"name": "B", "members": ["b"]},
+                             "values": [[["1"]]]}))
+    g = files["dir"] / "g1.json"
+    g.write_text(json.dumps({"source": {"name": "B", "members": ["b"]},
+                             "target": {"name": "C", "members": ["c"]},
+                             "values": [["1"]]}))
+    assert main(["compose", "--op", "tensor", "--quantale", files["bool"],
+                 str(f), str(g)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_dual_command(files, capsys):
     assert main(["dual", "--quantale", files["trop"], files["r"]]) == 0
     blob = json.loads(capsys.readouterr().out)

@@ -1,0 +1,73 @@
+"""Work on fresh structures leaves no reference cycles behind.
+
+A cycle keeps everything it reaches alive until the cyclic collector runs,
+so a search or a relation operation that left one would hold its grids,
+tables or quantales for an unbounded time.  Each case runs once to fill
+the lazy tables, then again with ``gc.DEBUG_SAVEALL``, and requires the
+collector to find nothing.
+"""
+
+import gc
+import random
+
+import pytest
+
+from linrel.qmod import enumerate_qbimodules, enumerate_qcategories
+from linrel.qrel import (
+    compose_par,
+    compose_tensor,
+    finite_set,
+    random_relation,
+    rel_dual,
+    right_extension,
+    right_lifting,
+)
+from linrel.quantale import quantale_from_json
+from linrel.quantaloid import one_object_quantaloid
+from linrel.verify import catalog_entry
+
+QUANTALE_FILES = {
+    "zinf": {"kind": "zinf", "flavor": "tropical", "dualizer": 0},
+    "table": {"kind": "table", "elements": ["0", "1"], "covers": [["0", "1"]],
+              "tensor": [["0", "0"], ["0", "1"]], "unit": "1", "dualizer": "0"},
+}
+
+
+def garbage_left_by(work) -> int:
+    work()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        work()
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_qmod_search_leaves_no_cycles():
+    base = one_object_quantaloid(catalog_entry("bool").ld)
+
+    def work():
+        cats = list(enumerate_qcategories(base, ("x0", "x1"), ("*", "*")))
+        enumerate_qbimodules(cats[0], cats[-1], limit=4)
+
+    assert garbage_left_by(work) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(QUANTALE_FILES))
+def test_relation_operations_leave_no_cycles(kind):
+    def work():
+        loaded = quantale_from_json(QUANTALE_FILES[kind])
+        X = finite_set("X", ["a", "b"])
+        for amb in (loaded.ld, loaded.girard):
+            rng = random.Random(1)
+            f, h = (random_relation(rng, amb, X, X) for _ in range(2))
+            compose_tensor(f, h)
+            compose_par(f, h)
+            right_extension(f, h)
+            right_lifting(h, f)
+            rel_dual(f, amb.par_unit)
+
+    assert garbage_left_by(work) == 0
