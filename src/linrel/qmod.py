@@ -21,6 +21,7 @@ from .errors import (
     NoParStructureError,
     NotGirardError,
 )
+from .lattice import FiniteLattice
 from .laws import LAWS, Calculus
 from .quantaloid import (
     FiniteQuantaloid,
@@ -154,17 +155,7 @@ def qbimodule(source: QCategory, target: QCategory,
 Term = str | tuple[str, ...]
 
 
-def _term(base: FiniteQuantaloid, term: Term, mats: Mapping, objs, idx) -> str:
-    if isinstance(term, str):
-        return mats[term][idx[0]][idx[-1]]
-    if len(term) == 1:
-        return getattr(base, term[0])(objs[0])
-    op, f, g = term
-    return getattr(base, op)(*objs, mats[f][idx[0]][idx[1]],
-                             mats[g][idx[1]][idx[2]])
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Law:
     label: str
     ranges: str
@@ -176,21 +167,8 @@ class _Law:
 
     @property
     def reads(self) -> set[str]:
-        return {m for m, _, _ in self.cells((0, 0, 0))}
-
-    def cells(self, idx) -> Iterator[tuple[str, int, int]]:
-        for t in (self.lhs, self.rhs):
-            if isinstance(t, str):
-                yield t, idx[0], idx[-1]
-            elif len(t) == 3:
-                yield t[1], idx[0], idx[1]
-                yield t[2], idx[1], idx[2]
-
-    def evaluate(self, base: FiniteQuantaloid, mats: Mapping, objs,
-                 idx) -> tuple[bool, str, str]:
-        lhs = _term(base, self.lhs, mats, objs, idx)
-        rhs = _term(base, self.rhs, mats, objs, idx)
-        return base.hom(objs[0], objs[-1]).leq(lhs, rhs), lhs, rhs
+        return {m for t in (self.lhs, self.rhs)
+                for m in ((t,) if isinstance(t, str) else t[1:])}
 
     def witness(self, members: Mapping, loop, lhs: str, rhs: str) -> dict:
         if self.names is None:
@@ -286,18 +264,135 @@ def _bimodule_matrices(M: QCategory, N: QCategory, **values) -> dict:
     return {k: v for k, v in mats.items() if v is not None}
 
 
-def _law_report(suite: str, laws: Sequence[_Law], base: FiniteQuantaloid,
+# Row and column carriers of each matrix a law reads.
+_MATRIX_RANGES = {"et": "xx", "ep": "xx", "fam": "xx", "Mt": "xx", "Mp": "xx",
+                  "Nt": "yy", "Np": "yy", "vt": "xy", "vp": "yx"}
+
+
+# A law plan holds a law set's checks over slots, each slot the index of a
+# value in its hom: one per matrix cell read and one per base unit read.
+# The cells a search fills take the first slots, in fill order.  A check
+# ``(order, table, f, g, o)`` holds when ``order[table[v[f]][v[g]]][v[o]]``
+# does, or ``order[v[f]][v[o]]`` when ``table`` is None; no law composes on
+# both sides, and ``order`` is transposed when it composes on the right.
+@dataclass(frozen=True)
+class _Plan:
+    homs: tuple[FiniteLattice, ...]  # the hom of each slot
+    units: tuple[tuple[int, int], ...]  # (slot, value) of each unit
+    given: tuple[tuple[str, int, int, int], ...]  # (matrix, row, col, slot)
+    fill: tuple[tuple[tuple[int, ...], ...], ...]  # slots of filled matrices
+    # per law, in loop order: (loop indices, check, composite on the left)
+    laws: tuple[tuple[tuple[tuple[int, ...], tuple, bool], ...], ...]
+    by_cell: tuple[tuple[tuple, ...], ...]  # checks by last filled cell
+
+    def load(self, mats: Mapping) -> list[int]:
+        v = [0] * len(self.homs)
+        for s, value in self.units:
+            v[s] = value
+        for m, r, c, s in self.given:
+            v[s] = self.homs[s].index(mats[m][r][c])
+        return v
+
+    def decode(self, v: list[int]) -> tuple[Matrix, ...]:
+        homs = self.homs
+        return tuple(tuple(tuple(homs[s].elements[v[s]] for s in row)
+                           for row in grid) for grid in self.fill)
+
+
+def _plan(base: FiniteQuantaloid, laws: tuple[_Law, ...], rhos: Mapping,
+          given: frozenset[str], fill: tuple[str, ...]) -> _Plan:
+    """The plan of `laws` with the matrices in `given` fixed and those in
+    `fill` searched, compiled once per base."""
+    key = ("qmod-plan", laws, tuple(sorted(rhos.items())), given, fill)
+    if key not in base.memo:
+        base.memo[key] = _compile(base, laws, rhos, given, fill)
+    return base.memo[key]
+
+
+def _compile(base: FiniteQuantaloid, laws: tuple[_Law, ...], rhos: Mapping,
+             given: frozenset[str], fill: tuple[str, ...]) -> _Plan:
+    homs: list[FiniteLattice] = []
+    slots: dict[tuple, int] = {}
+    units: dict[int, int] = {}
+    geq: dict[tuple[str, str], tuple] = {}
+
+    def slot(key: tuple, hom: FiniteLattice) -> int:
+        if key not in slots:
+            slots[key] = len(homs)
+            homs.append(hom)
+        return slots[key]
+
+    def cell(m: str, r: int, c: int) -> int:
+        rows, cols = _MATRIX_RANGES[m]
+        return slot((m, r, c), base.homs[(rhos[rows][r], rhos[cols][c])])
+
+    def term(t: Term, objs, idx) -> tuple:
+        """(table, f, g) of a composite, else (None, slot, None)."""
+        if isinstance(t, str):
+            return None, cell(t, idx[0], idx[-1]), None
+        if len(t) == 1:
+            a = objs[0]
+            s = slot((t[0], a), base.homs[(a, a)])
+            units[s] = homs[s].index(getattr(base, t[0])(a))
+            return None, s, None
+        tables = base.coded.tensor if t[0] == "compose" else base.coded.par
+        if tables is None:
+            raise NoParStructureError("quantaloid has no par layer")
+        return (tables[objs], cell(t[1], idx[0], idx[1]),
+                cell(t[2], idx[1], idx[2]))
+
+    grids = []
+    for m in fill:
+        rows, cols = _MATRIX_RANGES[m]
+        grids.append(tuple(tuple(cell(m, r, c) for c in range(len(rhos[cols])))
+                           for r in range(len(rhos[rows]))))
+    n_fill = len(homs)
+    plans = []
+    by_cell: list[list[tuple]] = [[] for _ in range(n_fill)]
+    for law in laws:
+        checks = []
+        if law.reads <= given | set(fill):
+            for objs, idx, loop in law.instances(rhos):
+                ends = (objs[0], objs[-1])
+                lt, lf, lg = term(law.lhs, objs, idx)
+                rt, rf, rg = term(law.rhs, objs, idx)
+                if rt is None:
+                    check = (base.homs[ends].leq_matrix, lt, lf, lg, rf)
+                else:
+                    if ends not in geq:
+                        geq[ends] = tuple(zip(*base.homs[ends].leq_matrix))
+                    check = (geq[ends], rt, rf, rg, lf)
+                checks.append((loop, check, rt is None))
+                # filled slots are numbered in fill order, so the largest
+                # one a check reads is the last of its cells to be set
+                read = [s for s in (lf, lg, rf, rg)
+                        if s is not None and s < n_fill]
+                if read:
+                    by_cell[max(read)].append(check)
+        plans.append(tuple(checks))
+    given_cells = tuple((*key, s) for key, s in slots.items()
+                        if s >= n_fill and s not in units)
+    return _Plan(tuple(homs), tuple(units.items()), given_cells,
+                 tuple(grids), tuple(plans), tuple(map(tuple, by_cell)))
+
+
+def _law_report(suite: str, laws: tuple[_Law, ...], base: FiniteQuantaloid,
                 cats: Mapping[str, QCategory], mats: Mapping) -> LawReport:
     """Each law with the witness of its first failing index tuple."""
     rhos = {r: C.rho for r, C in cats.items()}
     members = {r: C.members for r, C in cats.items()}
+    mats = {m: mat for m, mat in mats.items() if mat is not None}
+    plan = _plan(base, laws, rhos, frozenset(mats), ())
+    v = plan.load(mats)
     entries = []
-    for law in laws:
+    for law, checks in zip(laws, plan.laws):
         wit = None
-        for objs, idx, loop in law.instances(rhos):
-            ok, lhs, rhs = law.evaluate(base, mats, objs, idx)
-            if not ok:
-                wit = law.witness(members, loop, lhs, rhs)
+        for loop, (order, table, f, g, o), left in checks:
+            comp = v[f] if table is None else table[v[f]][v[g]]
+            if not order[comp][v[o]]:
+                names = plan.homs[o].elements
+                lhs, rhs = (comp, v[o]) if left else (v[o], comp)
+                wit = law.witness(members, loop, names[lhs], names[rhs])
                 break
         entries.append(law_entry(law.label, wit, "exhaustive"))
     return LawReport(suite, tuple(entries))
@@ -339,106 +434,110 @@ def _check_composable(t: QBimodule, p: QBimodule) -> None:
         raise MismatchError("bimodules are not composable")
 
 
-def qmod_compose_tensor(T: QBimodule, P: QBimodule) -> QBimodule:
-    """Join of pointwise composites; par parts meet the other way round."""
+def _check_parallel(t: QBimodule, p: QBimodule) -> None:
+    if t.source != p.source or t.target != p.target:
+        raise MismatchError("bimodules are not parallel")
+
+
+def _codes(base: FiniteQuantaloid, rows: Sequence[str], cols: Sequence[str],
+           mat: Matrix) -> list[list[int]]:
+    """A matrix's cells as indices into their homs."""
+    return [[base.homs[(a, b)].index(v) for b, v in zip(cols, row)]
+            for a, row in zip(rows, mat)]
+
+
+def _fold(base: FiniteQuantaloid, tensor: bool, rows: Sequence[str],
+          mids: Sequence[str], cols: Sequence[str], A: Matrix,
+          B: Matrix) -> Matrix:
+    """Cell (r, c) is the join over m of the tensor composites of A's cell
+    (r, m) with B's cell (m, c), or else the meet of the par composites."""
+    tables = base.coded.tensor if tensor else base.coded.par
+    if tables is None:
+        raise NoParStructureError("quantaloid has no par layer")
+    A, B = _codes(base, rows, mids, A), _codes(base, mids, cols, B)
+    out = []
+    for a, a_row in zip(rows, A):
+        cells = []
+        for z, c in enumerate(cols):
+            hom = base.homs[(a, c)]
+            bound = hom.join_table if tensor else hom.meet_table
+            acc = hom.index(hom.bottom if tensor else hom.top)
+            for b, f, b_row in zip(mids, a_row, B):
+                acc = bound[acc][tables[(a, b, c)][f][b_row[z]]]
+            cells.append(hom.elements[acc])
+        out.append(tuple(cells))
+    return tuple(out)
+
+
+def _compose(T: QBimodule, P: QBimodule, tensor: bool) -> QBimodule:
     _check_composable(T, P)
     base = T.source.base
     M, N, Pc = T.source, T.target, P.target
-    nx, ny, nz = len(M), len(N), len(Pc)
-    vt = tuple(
-        tuple(base.hom(M.rho[x], Pc.rho[z]).join(
-            base.compose(M.rho[x], N.rho[y], Pc.rho[z],
-                         T.values_tensor[x][y], P.values_tensor[y][z])
-            for y in range(ny))
-            for z in range(nz))
-        for x in range(nx))
+    vt = _fold(base, tensor, M.rho, N.rho, Pc.rho,
+               T.values_tensor, P.values_tensor)
     vp = None
     if T.is_linear and P.is_linear:
-        vp = tuple(
-            tuple(base.hom(Pc.rho[z], M.rho[x]).meet(
-                base.par_compose(Pc.rho[z], N.rho[y], M.rho[x],
-                                 P.values_par[z][y], T.values_par[y][x])
-                for y in range(ny))
-                for x in range(nx))
-            for z in range(nz))
+        vp = _fold(base, not tensor, Pc.rho, N.rho, M.rho,
+                   P.values_par, T.values_par)
     return QBimodule(source=M, target=Pc, values_tensor=vt, values_par=vp)
+
+
+def qmod_compose_tensor(T: QBimodule, P: QBimodule) -> QBimodule:
+    """Join of pointwise composites; par parts meet the other way round."""
+    return _compose(T, P, tensor=True)
 
 
 def qmod_compose_par(T: QBimodule, P: QBimodule) -> QBimodule:
     """Meet of pointwise par composites; par parts join via tensor."""
-    _check_composable(T, P)
-    base = T.source.base
-    M, N, Pc = T.source, T.target, P.target
-    nx, ny, nz = len(M), len(N), len(Pc)
-    vt = tuple(
-        tuple(base.hom(M.rho[x], Pc.rho[z]).meet(
-            base.par_compose(M.rho[x], N.rho[y], Pc.rho[z],
-                             T.values_tensor[x][y], P.values_tensor[y][z])
-            for y in range(ny))
-            for z in range(nz))
-        for x in range(nx))
-    vp = None
-    if T.is_linear and P.is_linear:
-        vp = tuple(
-            tuple(base.hom(Pc.rho[z], M.rho[x]).join(
-                base.compose(Pc.rho[z], N.rho[y], M.rho[x],
-                             P.values_par[z][y], T.values_par[y][x])
-                for y in range(ny))
-                for x in range(nx))
-            for z in range(nz))
-    return QBimodule(source=M, target=Pc, values_tensor=vt, values_par=vp)
+    return _compose(T, P, tensor=False)
 
 
 def bim_leq(T: QBimodule, P: QBimodule) -> bool:
     """Mixed 2-cell order: tensor parts pointwise up, par parts down."""
-    if T.source != P.source or T.target != P.target:
-        raise MismatchError("bimodules are not parallel")
-    base = T.source.base
-    M, N = T.source, T.target
-    for x in range(len(M)):
-        for y in range(len(N)):
-            if not base.hom(M.rho[x], N.rho[y]).leq(
-                    T.values_tensor[x][y], P.values_tensor[x][y]):
-                return False
+    _check_parallel(T, P)
+    M, N, homs = T.source, T.target, T.source.base.homs
+    parts = [(M.rho, N.rho, T.values_tensor, P.values_tensor)]
     if T.is_linear and P.is_linear:
-        for y in range(len(N)):
-            for x in range(len(M)):
-                if not base.hom(N.rho[y], M.rho[x]).leq(
-                        P.values_par[y][x], T.values_par[y][x]):
+        parts.append((N.rho, M.rho, P.values_par, T.values_par))
+    for rows, cols, lower, upper in parts:
+        for a, lower_row, upper_row in zip(rows, lower, upper):
+            for b, x, y in zip(cols, lower_row, upper_row):
+                hom = homs[(a, b)]
+                if not hom.leq_matrix[hom.index(x)][hom.index(y)]:
                     return False
     return True
 
 
-def bim_join(T: QBimodule, P: QBimodule) -> QBimodule:
-    if T.source != P.source or T.target != P.target:
-        raise MismatchError("bimodules are not parallel")
-    base = T.source.base
-    M, N = T.source, T.target
-    vt = tuple(tuple(base.hom(M.rho[x], N.rho[y]).join(
-        (T.values_tensor[x][y], P.values_tensor[x][y]))
-        for y in range(len(N))) for x in range(len(M)))
+def _combine(T: QBimodule, P: QBimodule, join: bool) -> QBimodule:
+    """Cellwise join (else meet) of the tensor parts, and the other bound
+    of the par parts."""
+    _check_parallel(T, P)
+    M, N, homs = T.source, T.target, T.source.base.homs
+
+    def cellwise(rows, cols, A, B, join):
+        out = []
+        for a, a_row, b_row in zip(rows, A, B):
+            cells = []
+            for b, x, y in zip(cols, a_row, b_row):
+                hom = homs[(a, b)]
+                bound = hom.join_table if join else hom.meet_table
+                cells.append(hom.elements[bound[hom.index(x)][hom.index(y)]])
+            out.append(tuple(cells))
+        return tuple(out)
+
+    vt = cellwise(M.rho, N.rho, T.values_tensor, P.values_tensor, join)
     vp = None
     if T.is_linear and P.is_linear:
-        vp = tuple(tuple(base.hom(N.rho[y], M.rho[x]).meet(
-            (T.values_par[y][x], P.values_par[y][x]))
-            for x in range(len(M))) for y in range(len(N)))
+        vp = cellwise(N.rho, M.rho, T.values_par, P.values_par, not join)
     return QBimodule(T.source, T.target, vt, vp)
+
+
+def bim_join(T: QBimodule, P: QBimodule) -> QBimodule:
+    return _combine(T, P, join=True)
 
 
 def bim_meet(T: QBimodule, P: QBimodule) -> QBimodule:
-    if T.source != P.source or T.target != P.target:
-        raise MismatchError("bimodules are not parallel")
-    base = T.source.base
-    M, N = T.source, T.target
-    vt = tuple(tuple(base.hom(M.rho[x], N.rho[y]).meet(
-        (T.values_tensor[x][y], P.values_tensor[x][y]))
-        for y in range(len(N))) for x in range(len(M)))
-    vp = None
-    if T.is_linear and P.is_linear:
-        vp = tuple(tuple(base.hom(N.rho[y], M.rho[x]).join(
-            (T.values_par[y][x], P.values_par[y][x]))
-            for x in range(len(M))) for y in range(len(N)))
-    return QBimodule(T.source, T.target, vt, vp)
+    return _combine(T, P, join=False)
 
 
 def zero_bimodule(M: QCategory, N: QCategory, linear: bool) -> QBimodule:
@@ -467,13 +566,25 @@ def top_bimodule(M: QCategory, N: QCategory, linear: bool) -> QBimodule:
 # Girard structure in the bimodule bicategory
 
 
+def _dual_transpose(base: FiniteQuantaloid, rows: Sequence[str],
+                    cols: Sequence[str], mat: Matrix,
+                    family: Mapping[str, str]) -> Matrix:
+    """The entrywise duals of a matrix, transposed: cell (c, r) is the
+    largest g with mat[r][c].g below the family element at rows[r].  Each
+    hom's dual map is computed once per base and family element."""
+    duals = {}
+    for a, b in product(set(rows), set(cols)):
+        key = ("qmod-duals", a, b, family[a])
+        if key not in base.memo:
+            base.memo[key] = {f: hom_dual(base, a, b, f, family)
+                              for f in base.hom(a, b).elements}
+        duals[(a, b)] = base.memo[key]
+    return tuple(tuple(duals[(a, b)][mat[r][c]] for r, a in enumerate(rows))
+                 for c, b in enumerate(cols))
+
+
 def _delta_matrix(M: QCategory, family: Mapping[str, str]) -> Matrix:
-    base = M.base
-    n = len(M)
-    return tuple(
-        tuple(hom_dual(base, M.rho[x2], M.rho[x], M.enrich_tensor[x2][x], family)
-              for x2 in range(n))
-        for x in range(n))
+    return _dual_transpose(M.base, M.rho, M.rho, M.enrich_tensor, family)
 
 
 def _require_girard(base: FiniteQuantaloid, family: Mapping[str, str]) -> None:
@@ -500,28 +611,32 @@ def _second_enrichment(M: QCategory, family: Mapping[str, str]) -> QCategory:
                      enrich_par=_delta_matrix(M, family))
 
 
+def _join_below(hom: FiniteLattice, bounds) -> str:
+    """The join of the g in `hom` whose composites stay below their
+    bounds; `bounds` holds (composite at each g, order, bound) triples."""
+    join = hom.join_table
+    acc = hom.index(hom.bottom)
+    for g in range(len(hom)):
+        if all(leq[composites[g]][d] for composites, leq, d in bounds):
+            acc = join[acc][g]
+    return hom.elements[acc]
+
+
 def qmod_right_extension(T: QBimodule, H: QBimodule) -> Matrix:
     """Largest matrix S with T (x) S <= H; T: M->N, H: M->P, S: N->P."""
     if T.source != H.source:
         raise MismatchError("extension needs a common source")
     base = T.source.base
     M, N, P = T.source, T.target, H.target
-    out = []
-    for y in range(len(N)):
-        row = []
-        for z in range(len(P)):
-            h_yz = base.hom(N.rho[y], P.rho[z])
-            cands = []
-            for g in h_yz.elements:
-                if all(base.hom(M.rho[x], P.rho[z]).leq(
-                        base.compose(M.rho[x], N.rho[y], P.rho[z],
-                                     T.values_tensor[x][y], g),
-                        H.values_tensor[x][z])
-                       for x in range(len(M))):
-                    cands.append(g)
-            row.append(h_yz.join(cands))
-        out.append(tuple(row))
-    return tuple(out)
+    t = _codes(base, M.rho, N.rho, T.values_tensor)
+    h = _codes(base, M.rho, P.rho, H.values_tensor)
+    tensor, homs = base.coded.tensor, base.homs
+    return tuple(
+        tuple(_join_below(homs[(b, c)], [
+            (tensor[(a, b, c)][t[x][y]], homs[(a, c)].leq_matrix, h[x][z])
+            for x, a in enumerate(M.rho)])
+            for z, c in enumerate(P.rho))
+        for y, b in enumerate(N.rho))
 
 
 def qmod_right_lifting(H: QBimodule, T: QBimodule) -> Matrix:
@@ -530,22 +645,16 @@ def qmod_right_lifting(H: QBimodule, T: QBimodule) -> Matrix:
         raise MismatchError("lifting needs a common target")
     base = T.source.base
     M, N, P = T.source, T.target, H.source
-    out = []
-    for z in range(len(P)):
-        row = []
-        for x in range(len(M)):
-            h_zx = base.hom(P.rho[z], M.rho[x])
-            cands = []
-            for g in h_zx.elements:
-                if all(base.hom(P.rho[z], N.rho[y]).leq(
-                        base.compose(P.rho[z], M.rho[x], N.rho[y],
-                                     g, T.values_tensor[x][y]),
-                        H.values_tensor[z][y])
-                       for y in range(len(N))):
-                    cands.append(g)
-            row.append(h_zx.join(cands))
-        out.append(tuple(row))
-    return tuple(out)
+    t = _codes(base, M.rho, N.rho, T.values_tensor)
+    h = _codes(base, P.rho, N.rho, H.values_tensor)
+    tensor, homs = base.coded.tensor, base.homs
+    return tuple(
+        tuple(_join_below(homs[(c, a)], [
+            ([row[t[x][y]] for row in tensor[(c, a, b)]],
+             homs[(c, b)].leq_matrix, h[z][y])
+            for y, b in enumerate(N.rho)])
+            for x, a in enumerate(M.rho))
+        for z, c in enumerate(P.rho))
 
 
 def check_girard_qmod(base: FiniteQuantaloid, family: Mapping[str, str],
@@ -591,16 +700,10 @@ def qmod_linear_adjoint(T: QBimodule, family: Mapping[str, str]) -> QBimodule:
 
 
 def _qmod_linear_adjoint(T: QBimodule, family: Mapping[str, str]) -> QBimodule:
-    base = T.source.base
     M, N = T.source, T.target
-    vt = tuple(
-        tuple(hom_dual(base, M.rho[x], N.rho[y], T.values_tensor[x][y], family)
-              for x in range(len(M)))
-        for y in range(len(N)))
-    vp = tuple(
-        tuple(T.values_tensor[x][y] for y in range(len(N)))
-        for x in range(len(M)))
-    return QBimodule(source=N, target=M, values_tensor=vt, values_par=vp)
+    vt = _dual_transpose(M.base, M.rho, N.rho, T.values_tensor, family)
+    return QBimodule(source=N, target=M, values_tensor=vt,
+                     values_par=tuple(map(tuple, T.values_tensor)))
 
 
 def girard_linear_bimodule(T: QBimodule, family: Mapping[str, str]) -> QBimodule:
@@ -613,13 +716,9 @@ def girard_linear_bimodule(T: QBimodule, family: Mapping[str, str]) -> QBimodule
 
 
 def _girard_linear_bimodule(T: QBimodule, family: Mapping[str, str]) -> QBimodule:
-    base = T.source.base
     M = T.source if T.source.is_linear else _second_enrichment(T.source, family)
     N = T.target if T.target.is_linear else _second_enrichment(T.target, family)
-    vp = tuple(
-        tuple(hom_dual(base, M.rho[x], N.rho[y], T.values_tensor[x][y], family)
-              for x in range(len(M)))
-        for y in range(len(N)))
+    vp = _dual_transpose(M.base, M.rho, N.rho, T.values_tensor, family)
     return QBimodule(source=M, target=N, values_tensor=T.values_tensor,
                      values_par=vp)
 
@@ -638,12 +737,8 @@ def check_qmod_linear_adjoint(T: QBimodule, P: QBimodule) -> bool:
 # Enumeration
 
 
-# Row and column carriers of the matrices a search fills.
-_MATRIX_RANGES = {"et": "xx", "ep": "xx", "vt": "xy", "vp": "yx"}
-
-
-def _search(base: FiniteQuantaloid, laws: Sequence[_Law], rhos: Mapping,
-            mats: Mapping, fill: Sequence[str]) -> Iterator[tuple[Matrix, ...]]:
+def _search(base: FiniteQuantaloid, laws: tuple[_Law, ...], rhos: Mapping,
+            mats: Mapping, fill: tuple[str, ...]) -> Iterator[tuple[Matrix, ...]]:
     """Every filling of the matrices in `fill` on which the laws hold.
 
     The cells (row-major, one matrix after another) take their hom's
@@ -653,45 +748,33 @@ def _search(base: FiniteQuantaloid, laws: Sequence[_Law], rhos: Mapping,
     of its instances is checked as soon as the last cell it reads is set,
     so a failing prefix is cut off with all its extensions.
     """
-    grids = {m: [[None] * len(rhos[_MATRIX_RANGES[m][1]])
-                 for _ in rhos[_MATRIX_RANGES[m][0]]] for m in fill}
-    mats = {**mats, **grids}
-    order = [(m, r, c) for m in fill for r, row in enumerate(grids[m])
-             for c in range(len(row))]
-    pools = [base.hom(rhos[_MATRIX_RANGES[m][0]][r],
-                      rhos[_MATRIX_RANGES[m][1]][c]).elements
-             for m, r, c in order]
-    pos = {cell: k for k, cell in enumerate(order)}
-    checks: list[list] = [[] for _ in order]
-    for law in laws:
-        if law.reads <= mats.keys() and law.reads & grids.keys():
-            for objs, idx, _ in law.instances(rhos):
-                last = max(pos[c] for c in law.cells(idx) if c in pos)
-                checks[last].append((law, objs, idx))
-
-    # Depth-first over an explicit stack of value iterators, one per set
+    plan = _plan(base, laws, rhos, frozenset(mats), fill)
+    v = plan.load(mats)
+    homs, checks = plan.homs, plan.by_cell
+    if not checks:
+        yield plan.decode(v)
+        return
+    # Depth-first over an explicit stack of index iterators, one per set
     # cell.  A nested generator recursing into itself would hold itself
-    # through its closure cell, a cycle that keeps the grids and the base
-    # quantaloid alive until the cyclic collector runs.
-    stack = [iter(pools[0])] if order else []
-    if not order:
-        yield tuple(tuple(map(tuple, grids[m])) for m in fill)
+    # through its closure cell, a cycle that keeps the search's state alive
+    # until the cyclic collector runs.
+    stack = [iter(range(len(homs[0])))]
     while stack:
         k = len(stack) - 1
-        m, r, c = order[k]
-        row = grids[m][r]
         for value in stack[k]:
-            row[c] = value
-            if all(law.evaluate(base, mats, objs, idx)[0]
-                   for law, objs, idx in checks[k]):
-                break
+            v[k] = value
+            for order, table, f, g, o in checks[k]:
+                if not order[v[f] if table is None else table[v[f]][v[g]]][v[o]]:
+                    break
+            else:
+                break  # every check holds
         else:
             stack.pop()
             continue
-        if k + 1 < len(order):
-            stack.append(iter(pools[k + 1]))
+        if k + 1 < len(checks):
+            stack.append(iter(range(len(homs[k + 1]))))
         else:
-            yield tuple(tuple(map(tuple, grids[m])) for m in fill)
+            yield plan.decode(v)
 
 
 def enumerate_qcategories(base: FiniteQuantaloid, members: Sequence[str],

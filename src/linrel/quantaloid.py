@@ -72,6 +72,12 @@ class FiniteQuantaloid:
             ends, code(self.tensor_tables),
             None if self.par_tables is None else code(self.par_tables))
 
+    @cached_property
+    def memo(self) -> dict:
+        """Tables that other modules derive from this quantaloid, kept as
+        long as it lives.  No entry may refer back to the quantaloid."""
+        return {}
+
     @property
     def has_par(self) -> bool:
         return self.par_tables is not None

@@ -272,15 +272,20 @@ _BUILDERS: dict[str, Callable[[Callable[[str], LDQuantale]], LDQuantale]] = {
 }
 
 
-def _structures() -> Callable[[str], LDQuantale]:
-    """A lookup that builds each entry's structure once, on first use."""
-    @lru_cache(maxsize=None)
-    def structure(name: str) -> LDQuantale:
-        return _BUILDERS[name](structure)
-    return structure
+class _Structures:
+    """A lookup that builds each entry's structure once, on first use.  A
+    cached closure would refer to itself, a cycle left by every build."""
+
+    def __init__(self) -> None:
+        self.built: dict[str, LDQuantale] = {}
+
+    def __call__(self, name: str) -> LDQuantale:
+        if name not in self.built:
+            self.built[name] = _BUILDERS[name](self)
+        return self.built[name]
 
 
-_structure = _structures()
+_structure = _Structures()
 
 
 def build_catalog(window: int = 10, names: Sequence[str] | None = None,
@@ -291,7 +296,7 @@ def build_catalog(window: int = 10, names: Sequence[str] | None = None,
     ``names`` picks entries (default: all, in catalog order); ``structure``
     looks structures up (default: build them afresh).
     """
-    structure = structure or _structures()
+    structure = structure or _Structures()
     return {name: _classify(name, structure(name), window)
             for name in (names or _BUILDERS)}
 

@@ -12,7 +12,16 @@ import random
 
 import pytest
 
-from linrel.qmod import enumerate_qbimodules, enumerate_qcategories
+from linrel.qmod import (
+    check_girard_qmod,
+    check_qmod_linear_adjoint,
+    discrete_qcategory,
+    enumerate_qbimodules,
+    enumerate_qcategories,
+    girard_linear_bimodule,
+    qmod_linear_adjoint,
+    validate_qbimodule,
+)
 from linrel.qrel import (
     compose_par,
     compose_tensor,
@@ -24,7 +33,7 @@ from linrel.qrel import (
 )
 from linrel.quantale import quantale_from_json
 from linrel.quantaloid import one_object_quantaloid
-from linrel.verify import catalog_entry
+from linrel.verify import build_catalog, catalog_entry
 
 QUANTALE_FILES = {
     "zinf": {"kind": "zinf", "flavor": "tropical", "dualizer": 0},
@@ -54,6 +63,31 @@ def test_qmod_search_leaves_no_cycles():
         enumerate_qbimodules(cats[0], cats[-1], limit=4)
 
     assert garbage_left_by(work) == 0
+
+
+def test_qmod_plans_leave_no_cycles():
+    """Each run builds its base afresh, so the plans and dual maps cached
+    on it are compiled again and must go with it."""
+    entry = catalog_entry("bool")
+    family = {"*": entry.girard.dualizer}
+
+    def work():
+        base = one_object_quantaloid(entry.ld)
+        cats = [discrete_qcategory(base, ("x0",), ("*",))]
+        cats += enumerate_qcategories(base, ("x0", "x1"), ("*", "*"), limit=3)
+        bims = [B for M in cats for N in cats
+                for B in enumerate_qbimodules(M, N, limit=2)]
+        check_girard_qmod(base, family, bims)
+        for B in bims:
+            linear = girard_linear_bimodule(B, family)
+            validate_qbimodule(linear)
+            check_qmod_linear_adjoint(linear, qmod_linear_adjoint(linear, family))
+
+    assert garbage_left_by(work) == 0
+
+
+def test_catalog_build_leaves_no_cycles():
+    assert garbage_left_by(lambda: build_catalog(10)) == 0
 
 
 @pytest.mark.parametrize("kind", sorted(QUANTALE_FILES))
