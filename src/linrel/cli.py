@@ -60,19 +60,30 @@ def _read_json(path: str) -> dict:
     return obj
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
+def sampler_count(text: str) -> int | None:
+    """An argparse type (named for its error message): None for
+    ``exhaustive``, N >= 1 for ``random:N``."""
+    if text == "exhaustive":
+        return None
+    if not text.startswith("random:"):
+        raise argparse.ArgumentTypeError(f"use exhaustive or random:N, not {text!r}")
+    return _at_least(1)(text[len("random:"):])
+
+
 def _sampler(args) -> Sampler:
-    choice = getattr(args, "sampler", "exhaustive")
-    seed = getattr(args, "seed", 0)
-    window = getattr(args, "window", 10)
-    if choice == "exhaustive":
-        return Sampler(mode="exhaustive", seed=seed, window=window)
-    if choice.startswith("random:"):
-        try:
-            count = int(choice.split(":", 1)[1])
-        except ValueError:
-            raise StructureError(f"bad sampler flag {choice!r}") from None
-        return Sampler(mode="random", seed=seed, count=count, window=window)
-    raise StructureError(f"unknown sampler {choice!r}; use exhaustive or random:N")
+    if args.sampler is None:
+        return Sampler(mode="exhaustive", seed=args.seed, window=args.window)
+    return Sampler(mode="random", seed=args.seed, count=args.sampler,
+                   window=args.window)
 
 
 def _emit(report: LawReport, args) -> int:
@@ -81,6 +92,16 @@ def _emit(report: LawReport, args) -> int:
     else:
         print(report.to_text())
     return PASS_EXIT if report.ok else FAIL_EXIT
+
+
+def _write_relation(out, args) -> int:
+    payload = json.dumps(relation_to_json(out), sort_keys=True, indent=2)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
+    else:
+        print(payload)
+    return PASS_EXIT
 
 
 def cmd_check_quantale(args) -> int:
@@ -122,14 +143,8 @@ def cmd_compose(args) -> int:
         amb = loaded.ambient()
     f = relation_from_json(_read_json(args.left), amb)
     g = relation_from_json(_read_json(args.right), amb)
-    out = compose_tensor(f, g) if args.op == "tensor" else compose_par(f, g)
-    payload = json.dumps(relation_to_json(out), sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
-    return PASS_EXIT
+    return _write_relation(
+        compose_tensor(f, g) if args.op == "tensor" else compose_par(f, g), args)
 
 
 def cmd_dual(args) -> int:
@@ -138,14 +153,7 @@ def cmd_dual(args) -> int:
         raise StructureError("relation dual needs a dualizer in the file")
     amb = loaded.girard
     r = relation_from_json(_read_json(args.relation), amb)
-    out = rel_dual(r, amb.dualizer)
-    payload = json.dumps(relation_to_json(out), sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
-    return PASS_EXIT
+    return _write_relation(rel_dual(r, amb.dualizer), args)
 
 
 def _structure_for_entry_or_file(args) -> tuple[str, object, object]:
@@ -180,21 +188,19 @@ def cmd_verify_qrel(args) -> int:
 
 def _base_quantaloid(args):
     if args.entry:
-        entry = catalog_entry(args.entry, args.window)
-        if not entry.ld.carrier.is_finite:
-            raise StructureError("theorem drivers need a finite structure")
-        return one_object_quantaloid(entry.ld)
-    if not args.file:
+        ld = catalog_entry(args.entry, args.window).ld
+    elif not args.file:
         raise StructureError("provide a structure file or --entry NAME")
-    obj = _read_json(args.file)
-    if obj.get("kind") in ("table", "zinf"):
-        loaded = quantale_from_json(obj, args.window)
-        if loaded.ld is None:
+    else:
+        obj = _read_json(args.file)
+        if obj.get("kind") not in ("table", "zinf"):
+            return quantaloid_from_json(obj)
+        ld = quantale_from_json(obj, args.window).ld
+        if ld is None:
             raise StructureError("structure has no par layer")
-        if not loaded.ld.carrier.is_finite:
-            raise StructureError("theorem drivers need a finite structure")
-        return one_object_quantaloid(loaded.ld)
-    return quantaloid_from_json(obj)
+    if not ld.carrier.is_finite:
+        raise StructureError("theorem drivers need a finite structure")
+    return one_object_quantaloid(ld)
 
 
 def cmd_verify_qmod(args) -> int:
@@ -251,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="machine-readable report output")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--sampler", default="exhaustive",
+        p.add_argument("--sampler", type=sampler_count, default="exhaustive",
                        help="exhaustive or random:N")
-        p.add_argument("--max-set", type=int, default=2, dest="max_set")
-        p.add_argument("--window", type=int, default=10,
+        p.add_argument("--max-set", type=_at_least(1), default=2, dest="max_set")
+        p.add_argument("--window", type=_at_least(0), default=10,
                        help="integer window for extended-integer sampling")
         if entry_or_file:
             p.add_argument("file", nargs="?", help="structure JSON file")
@@ -281,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--window", type=int, default=10)
+    p.add_argument("--window", type=_at_least(0), default=10)
     p.set_defaults(fn=cmd_compose)
 
     p = sub.add_parser("dual", help="dualize a relation against the file's dualizer")
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("relation")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--window", type=int, default=10)
+    p.add_argument("--window", type=_at_least(0), default=10)
     p.set_defaults(fn=cmd_dual)
 
     p = sub.add_parser("check-girard-qrel", help="cyclicity and double dual on relations")
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list built-in structures and classifications")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--window", type=int, default=10)
+    p.add_argument("--window", type=_at_least(0), default=10)
     p.set_defaults(fn=cmd_catalog)
 
     return parser

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 from .errors import (
     CyclicOrderError,
     DuplicateNameError,
+    InputFormatError,
     NotALatticeError,
     UnknownElementError,
 )
@@ -99,6 +100,9 @@ def build_lattice(
     antisymmetry and with :class:`NotALatticeError` if some pair of
     elements has no join or no meet.
     """
+    if not isinstance(elements, (list, tuple)):
+        raise InputFormatError(
+            f"elements must be a list of names, not {type(elements).__name__}")
     names = tuple(elements)
     if not names:
         raise NotALatticeError("a lattice needs at least one element")

@@ -2,10 +2,14 @@
 
 Relations over an LD-quantale (:mod:`linrel.qrel`) and bimodules over a
 linear quantaloid (:mod:`linrel.qmod`) form locally posetal linear
-bicategories under the same axioms.  Each level supplies a
-:class:`Calculus` of its 1-cell operations; :data:`LAWS` states every
-axiom against that record, so the levels share the law bodies and differ
-only in how they draw cases and encode witnesses.
+bicategories under the same axioms.  Elements of an LD-quantale are the
+third level: the 1-cells of its one-object bicategory, Q-Rel on the
+one-point set, so the quantale, opposite-quantale and linear-distribution
+axioms on elements (:mod:`linrel.quantale`) are sixteen of the same laws.
+Each level supplies a :class:`Calculus` of its 1-cell operations;
+:data:`LAWS` states every axiom against that record, so the levels share
+the law bodies and differ only in how they draw cases and encode
+witnesses.
 """
 
 from __future__ import annotations
@@ -55,7 +59,10 @@ SHAPE_SLOTS: dict[str, tuple[tuple[int, int], ...]] = {
     "fork-right": ((1, 2), (1, 2), (0, 1)),
 }
 
-Law = Callable[..., bool]
+# A law takes a calculus once and returns its predicate on the cells of
+# its shape, in slot order; the calculus operations are looked up when the
+# law is bound, not per case.
+Law = Callable[[Calculus], Callable[..., bool]]
 
 
 def _multiplication_laws(op: str, bound: str, extreme: str, ident: str,
@@ -67,56 +74,60 @@ def _multiplication_laws(op: str, bound: str, extreme: str, ident: str,
     (par, meet, top, id_bot) they are the same axioms on the opposite order.
     """
 
-    def assoc(c, f, g, h):
-        o = getattr(c, op)
-        return c.eq(o(o(f, g), h), o(f, o(g, h)))
+    def assoc(c):
+        o, eq = getattr(c, op), c.eq
+        return lambda f, g, h: eq(o(o(f, g), h), o(f, o(g, h)))
 
-    def unit_left(c, f):
-        return c.eq(getattr(c, op)(getattr(c, ident)(f, c.source(f)), f), f)
+    def unit_left(c):
+        o, i, eq = getattr(c, op), getattr(c, ident), c.eq
+        return lambda f: eq(o(i(f, c.source(f)), f), f)
 
-    def unit_right(c, f):
-        return c.eq(getattr(c, op)(f, getattr(c, ident)(f, c.target(f))), f)
+    def unit_right(c):
+        o, i, eq = getattr(c, op), getattr(c, ident), c.eq
+        return lambda f: eq(o(f, i(f, c.target(f))), f)
 
-    def bound_left(c, f1, f2, g):
-        o, b = getattr(c, op), getattr(c, bound)
-        return c.eq(o(b(f1, f2), g), b(o(f1, g), o(f2, g)))
+    def bound_left(c):
+        o, b, eq = getattr(c, op), getattr(c, bound), c.eq
+        return lambda f1, f2, g: eq(o(b(f1, f2), g), b(o(f1, g), o(f2, g)))
 
-    def bound_right(c, g1, g2, f):
-        o, b = getattr(c, op), getattr(c, bound)
-        return c.eq(o(f, b(g1, g2)), b(o(f, g1), o(f, g2)))
+    def bound_right(c):
+        o, b, eq = getattr(c, op), getattr(c, bound), c.eq
+        return lambda g1, g2, f: eq(o(f, b(g1, g2)), b(o(f, g1), o(f, g2)))
 
-    def extreme_left(c, f):
-        e = getattr(c, extreme)
-        X = c.source(f)
-        return c.eq(getattr(c, op)(e(f, X, X), f), e(f, X, c.target(f)))
+    def extreme_left(c):
+        o, e, eq, src, tgt = (getattr(c, op), getattr(c, extreme), c.eq,
+                              c.source, c.target)
+        return lambda f: eq(o(e(f, src(f), src(f)), f), e(f, src(f), tgt(f)))
 
-    def extreme_right(c, f):
-        e = getattr(c, extreme)
-        Y = c.target(f)
-        return c.eq(getattr(c, op)(f, e(f, Y, Y)), e(f, c.source(f), Y))
+    def extreme_right(c):
+        o, e, eq, src, tgt = (getattr(c, op), getattr(c, extreme), c.eq,
+                              c.source, c.target)
+        return lambda f: eq(o(f, e(f, tgt(f), tgt(f))), e(f, src(f), tgt(f)))
 
     return (assoc, unit_left, unit_right, bound_left, bound_right,
             extreme_left, extreme_right)
 
 
-def _distribution_left(c, f, g, h):
-    return c.leq(c.tensor(f, c.par(g, h)), c.par(c.tensor(f, g), h))
+def _distribution_left(c):
+    t, p, leq = c.tensor, c.par, c.leq
+    return lambda f, g, h: leq(t(f, p(g, h)), p(t(f, g), h))
 
 
-def _distribution_right(c, f, g, h):
-    return c.leq(c.tensor(c.par(f, g), h), c.par(f, c.tensor(g, h)))
+def _distribution_right(c):
+    t, p, leq = c.tensor, c.par, c.leq
+    return lambda f, g, h: leq(t(p(f, g), h), p(f, t(g, h)))
 
 
 def _monotone_laws(op: str) -> tuple[Law, Law]:
     """Composing with a larger cell on either side gives a larger cell."""
 
-    def left(c, f1, f2, g):
-        o = getattr(c, op)
-        return c.leq(o(f1, g), o(c.join(f1, f2), g))
+    def left(c):
+        o, jn, leq = getattr(c, op), c.join, c.leq
+        return lambda f1, f2, g: leq(o(f1, g), o(jn(f1, f2), g))
 
-    def right(c, g1, g2, f):
-        o = getattr(c, op)
-        return c.leq(o(f, g1), o(f, c.join(g1, g2)))
+    def right(c):
+        o, jn, leq = getattr(c, op), c.join, c.leq
+        return lambda g1, g2, f: leq(o(f, g1), o(f, jn(g1, g2)))
 
     return left, right
 
@@ -124,8 +135,8 @@ def _monotone_laws(op: str) -> tuple[Law, Law]:
 _MULT_SHAPES = ("chain3", "chain1", "chain1", "fork-left", "fork-right",
                 "chain1", "chain1")
 
-# label -> (shape, law); a law takes the calculus and the cells of its
-# shape, in slot order, and returns whether it holds on them.
+# label -> (shape, law); ``law(calc)`` is the predicate on the cells of
+# its shape, in slot order.
 LAWS: dict[str, tuple[str, Law]] = {
     label: (shape, law)
     for labels, shapes, laws in (
@@ -140,4 +151,15 @@ LAWS: dict[str, tuple[str, Law]] = {
          _monotone_laws("tensor") + _monotone_laws("par")),
     )
     for label, shape, law in zip(labels, shapes, laws, strict=True)
+}
+
+# Element-level witnesses name a law's cells "a", "b", "c", the order in
+# which the element checks enumerate them (the first key outermost).  This
+# gives each law the key of every slot, in slot order; only the second
+# distribution reads its slots in another order than its keys.
+WITNESS_KEYS: dict[str, tuple[str, ...]] = {
+    label: ("a",) if shape == "chain1"
+    else ("b", "c", "a") if label == "linear-distribution-right"
+    else ("a", "b", "c")
+    for label, (shape, _) in LAWS.items()
 }

@@ -20,7 +20,7 @@ from .errors import (
     NoParStructureError,
     NotGirardError,
 )
-from .laws import LAWS, SHAPE_SLOTS, Calculus
+from .laws import LAWS, SHAPE_SLOTS, WITNESS_KEYS, Calculus
 from .quantale import MINUS_INF, PLUS_INF, Elem
 from .report import LawReport, Sampler, law_entry
 
@@ -39,6 +39,9 @@ class FiniteSet:
 
 
 def finite_set(name: str, members: Sequence[str]) -> FiniteSet:
+    if not isinstance(members, (list, tuple)):
+        raise InputFormatError(
+            f"set {name!r} members must be a list, not {type(members).__name__}")
     members = tuple(members)
     if len(set(members)) != len(members):
         raise DuplicateNameError(f"set {name!r} has duplicate members")
@@ -151,30 +154,31 @@ def top_relation(X: FiniteSet, Y: FiniteSet, amb: Ambient) -> QRelation:
                                       for _ in X.members))
 
 
-def rel_leq(f: QRelation, g: QRelation) -> bool:
+def _require_parallel(f: QRelation, g: QRelation) -> None:
     if f.source != g.source or f.target != g.target or f.ambient != g.ambient:
         raise MismatchError("relations are not parallel")
+
+
+def rel_leq(f: QRelation, g: QRelation) -> bool:
+    _require_parallel(f, g)
     leq = f.ambient.leq
     return all(leq(a, b) for fr, gr in zip(f.values, g.values)
                for a, b in zip(fr, gr))
 
 
-def rel_join(f: QRelation, g: QRelation) -> QRelation:
-    if f.source != g.source or f.target != g.target or f.ambient != g.ambient:
-        raise MismatchError("relations are not parallel")
-    jn = f.ambient.join
-    vals = tuple(tuple(jn((a, b)) for a, b in zip(fr, gr))
+def _pointwise(f: QRelation, g: QRelation, agg) -> QRelation:
+    _require_parallel(f, g)
+    vals = tuple(tuple(agg((a, b)) for a, b in zip(fr, gr))
                  for fr, gr in zip(f.values, g.values))
     return QRelation(f.source, f.target, f.ambient, vals)
+
+
+def rel_join(f: QRelation, g: QRelation) -> QRelation:
+    return _pointwise(f, g, f.ambient.join)
 
 
 def rel_meet(f: QRelation, g: QRelation) -> QRelation:
-    if f.source != g.source or f.target != g.target or f.ambient != g.ambient:
-        raise MismatchError("relations are not parallel")
-    mt = f.ambient.meet
-    vals = tuple(tuple(mt((a, b)) for a, b in zip(fr, gr))
-                 for fr, gr in zip(f.values, g.values))
-    return QRelation(f.source, f.target, f.ambient, vals)
+    return _pointwise(f, g, f.ambient.meet)
 
 
 def right_extension(f: QRelation, h: QRelation) -> QRelation:
@@ -342,7 +346,7 @@ QREL_CALCULUS = Calculus(
 # label -> (shape, predicate on the composable relation tuple).  Predicates
 # are pure so the shrinker can replay them.
 REL_LAW_SPECS: dict[str, tuple[str, Any]] = {
-    label: (shape, lambda rels, law=law: law(QREL_CALCULUS, *rels))
+    label: (shape, lambda rels, holds=law(QREL_CALCULUS): holds(*rels))
     for label, (shape, law) in LAWS.items()
 }
 
@@ -479,33 +483,18 @@ def check_girard_qrel(amb: Ambient, sets: Sequence[FiniteSet], sampler: Sampler,
     return LawReport(suite, tuple(entries))
 
 
-# Witness keys (a, b, c) name the roles in the element-level law display;
-# the relation-level predicates take their arguments in a fixed slot order,
-# which for the second distribution differs from the display order.
-_TRANSFER_KEY_ORDER = {"linear-distribution-right": ("b", "c", "a")}
-
-
 def transfer_quantale_witness(amb: Ambient, label: str, witness: dict) -> tuple[bool, dict]:
     """Replay a quantale-law failure as one-point relations.
 
-    Element witnesses carry keys ``a``, ``b``, ``c``; the corresponding
-    relation law is evaluated on 1x1 constant relations over a singleton
-    set.  Returns the law outcome and the constructed relation witness.
+    Element witnesses carry the law's keys (see ``WITNESS_KEYS``); the
+    corresponding relation law is evaluated on 1x1 constant relations over
+    a singleton set.  Returns the law outcome and the constructed relation
+    witness.
     """
     point = FiniteSet("pt", ("*",))
-
-    def const(v: Elem) -> QRelation:
-        return QRelation(point, point, amb, ((v,),))
-
-    shape, pred = REL_LAW_SPECS[label]
-    order = _TRANSFER_KEY_ORDER.get(label, ("a", "b", "c"))
-    keys = [k for k in order if k in witness]
-    rels = tuple(const(witness[k]) for k in keys)
-    if shape == "chain1":
-        rels = rels[:1]
-    elif len(rels) < 3:
-        rels = rels + tuple(const(witness[keys[-1]]) for _ in range(3 - len(rels)))
-    holds = pred(rels)
+    rels = tuple(QRelation(point, point, amb, ((witness[k],),))
+                 for k in WITNESS_KEYS[label])
+    holds = REL_LAW_SPECS[label][1](rels)
     return holds, _case_witness(rels)
 
 

@@ -10,10 +10,10 @@ both views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import product
-from operator import attrgetter, itemgetter
+from itertools import compress, product, starmap
+from operator import attrgetter, eq, itemgetter, not_
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import (
@@ -24,7 +24,8 @@ from .errors import (
     UnknownElementError,
 )
 from .lattice import FiniteLattice, build_lattice
-from .report import LAW_GROUPS, LawEntry, LawReport, law_entry
+from .laws import LAWS, WITNESS_KEYS, Calculus
+from .report import LAW_GROUPS, LawReport, law_entry
 
 Elem = Any  # str for finite carriers, int or an infinity marker for ZInt
 
@@ -255,6 +256,13 @@ class CarrierOrder:
         pm, mm = getattr(self, "par_map", None), self.meet_map
         return None if pm is None or mm is None else FoldKernel(pm, mm, self.top)
 
+    def _pair_map(self, op: Callable[[Elem, Elem], Elem]) -> dict | None:
+        """Nested name-to-name table of ``op``, or None for ZInt carriers."""
+        if not self.carrier.is_finite:
+            return None
+        els = self.carrier.lattice.elements
+        return {a: {b: op(a, b) for b in els} for a in els}
+
     def contains(self, v: Elem) -> bool:
         return self.carrier.contains(v)
 
@@ -369,17 +377,11 @@ class Quantale(CarrierOrder):
 
     @cached_property
     def join_map(self) -> dict | None:
-        if not self.carrier.is_finite:
-            return None
-        els = self.carrier.lattice.elements
-        return {a: {b: self.join((a, b)) for b in els} for a in els}
+        return self._pair_map(lambda a, b: self.join((a, b)))
 
     @cached_property
     def meet_map(self) -> dict | None:
-        if not self.carrier.is_finite:
-            return None
-        els = self.carrier.lattice.elements
-        return {a: {b: self.meet((a, b)) for b in els} for a in els}
+        return self._pair_map(lambda a, b: self.meet((a, b)))
 
 
 def table_quantale(lattice: FiniteLattice, table: Sequence[Sequence[str]],
@@ -455,10 +457,7 @@ class GirardQuantale(CarrierOrder):
 
     @cached_property
     def par_map(self) -> dict | None:
-        if not self.carrier.is_finite:
-            return None
-        els = self.carrier.lattice.elements
-        return {a: {b: self.par(a, b) for b in els} for a in els}
+        return self._pair_map(self.par)
 
 
 def _validated(q, sample: Sequence[Elem] | None, window: int = 10) -> list[Elem]:
@@ -553,115 +552,88 @@ def opposite_quantale(ld: LDQuantale) -> LDQuantale:
 # ---------------------------------------------------------------------------
 # Law suites
 
-_TENSOR_LABELS = LAW_GROUPS["quantale"]
-_PAR_LABELS = LAW_GROUPS["op-quantale"]
+
+def _const(v: Elem) -> Callable[..., Elem]:
+    return lambda *_: v
 
 
-def _mult_law_entries(q: Quantale, sample: Sequence[Elem],
-                      labels: Sequence[str], mode: str) -> list[LawEntry]:
-    """Check one multiplication against the carrier order of ``q``.
+def scalar_calculus(amb) -> Calculus:
+    """Elements as the 1-cells of the one-object bicategory of ``amb``.
 
-    For a par part on the opposite carrier the same checks read as meet
-    preservation and absorption by the original top, which is exactly the
-    dual quantale axiom set.
-    The sample must be validated; the loops run the unchecked kernels.
+    The identities and extreme cells are constants; ``join`` and ``meet``
+    are binary, by table on finite carriers and by comparison on the
+    extended integers, which form a chain.  ``par`` is absent (None) when
+    the ambient has no par.  The kernels are unchecked, so the cells must
+    be validated elements.
     """
-    t = q.mul
-    jn = q.carrier.join
-    bot = q.bottom
-    unit = q.unit
-    lab_assoc, lab_ul, lab_ur, lab_sl, lab_sr, lab_bl, lab_br = labels
+    leq, jm, mm = amb.carrier.leq, amb.join_map, amb.meet_map
+    if jm is None:
+        join = lambda a, b: b if leq(a, b) else a
+        meet = lambda a, b: a if leq(a, b) else b
+    else:
+        join = lambda a, b: jm[a][b]
+        meet = lambda a, b: mm[a][b]
+    return Calculus(
+        tensor=amb.mul, par=getattr(amb, "par_mul", None),
+        id_top=_const(amb.unit), id_bot=_const(getattr(amb, "par_unit", None)),
+        zero=_const(amb.bottom), top=_const(amb.top),
+        join=join, meet=meet, leq=leq, eq=eq,
+        source=_const(None), target=_const(None))
 
-    wit = None
-    for a, b, c in product(sample, repeat=3):
-        lhs, rhs = t(t(a, b), c), t(a, t(b, c))
-        if lhs != rhs:
-            wit = {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
-            break
-    entries = [law_entry(lab_assoc, wit, mode)]
 
-    wit = None
-    for a in sample:
-        if t(unit, a) != a:
-            wit = {"a": a, "lhs": t(unit, a)}
-            break
-    entries.append(law_entry(lab_ul, wit, mode))
+def _first_failure(holds, sample: Sequence[Elem],
+                   keys: tuple[str, ...]) -> tuple[Elem, ...] | None:
+    """The first case on which ``holds`` fails: the values of ``a``, ``b``,
+    ``c`` drawn from the sample in that order, ``a`` outermost, and fed to
+    the law's slots as ``keys`` names them."""
+    def cases():
+        return product(sample, repeat=len(keys))
+    slots = cases()
+    if keys != tuple(sorted(keys)):
+        slots = map(itemgetter(*map("abc".index, keys)), slots)
+    return next(compress(cases(), map(not_, starmap(holds, slots))), None)
 
-    wit = None
-    for a in sample:
-        if t(a, unit) != a:
-            wit = {"a": a, "lhs": t(a, unit)}
-            break
-    entries.append(law_entry(lab_ur, wit, mode))
 
-    wit = None
-    for a, b, c in product(sample, repeat=3):
-        lhs, rhs = t(jn((a, b)), c), jn((t(a, c), t(b, c)))
-        if lhs != rhs:
-            wit = {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
-            break
-    entries.append(law_entry(lab_sl, wit, mode))
+def _law_report(amb, domain_sample: Sequence[Elem] | None, window: int,
+                suite: str, labels: Sequence[str]) -> LawReport:
+    """Each law of ``labels`` on the scalar calculus of ``amb``, over the
+    validated sample, up to its first failing case.
 
-    wit = None
-    for a, b, c in product(sample, repeat=3):
-        lhs, rhs = t(c, jn((a, b))), jn((t(c, a), t(c, b)))
-        if lhs != rhs:
-            wit = {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
-            break
-    entries.append(law_entry(lab_sr, wit, mode))
-
-    wit = None
-    for a in sample:
-        if t(bot, a) != bot:
-            wit = {"a": a, "lhs": t(bot, a)}
-            break
-    entries.append(law_entry(lab_bl, wit, mode))
-
-    wit = None
-    for a in sample:
-        if t(a, bot) != bot:
-            wit = {"a": a, "lhs": t(a, bot)}
-            break
-    entries.append(law_entry(lab_br, wit, mode))
-    return entries
+    A failure is replayed once with a comparison that records its operands,
+    the two sides of the law, for the witness.
+    """
+    sample = _validated(amb, domain_sample, window)
+    mode = "exhaustive" if amb.carrier.is_finite and domain_sample is None \
+        else f"sample({len(sample)})"
+    calc = scalar_calculus(amb)
+    entries = []
+    for label in labels:
+        law, keys = LAWS[label][1], WITNESS_KEYS[label]
+        case = _first_failure(law(calc), sample, keys)
+        wit = None
+        if case is not None:
+            wit = dict(zip("abc", case))
+            record = lambda lhs, rhs: wit.update(lhs=lhs, rhs=rhs)
+            law(replace(calc, eq=record, leq=record))(*map(wit.get, keys))
+            if len(keys) == 1:
+                del wit["rhs"]
+        entries.append(law_entry(label, wit, mode))
+    return LawReport(suite, tuple(entries))
 
 
 def check_quantale_laws(q: Quantale, domain_sample: Sequence[Elem] | None = None,
                         suite: str = "quantale-laws",
                         window: int = 10) -> LawReport:
     """Associativity, units, and two-sided join preservation over a sample."""
-    sample = _validated(q, domain_sample, window)
-    mode = "exhaustive" if q.carrier.is_finite and domain_sample is None \
-        else f"sample({len(sample)})"
-    return LawReport(suite, tuple(_mult_law_entries(q, sample, _TENSOR_LABELS, mode)))
+    return _law_report(q, domain_sample, window, suite, LAW_GROUPS["quantale"])
 
 
 def check_ld_laws(ld: LDQuantale, domain_sample: Sequence[Elem] | None = None,
                   suite: str = "ld-laws", window: int = 10) -> LawReport:
     """Both quantale structures plus the two linear distributions."""
-    sample = _validated(ld, domain_sample, window)
-    mode = "exhaustive" if ld.carrier.is_finite and domain_sample is None \
-        else f"sample({len(sample)})"
-    entries = _mult_law_entries(ld.tensor_part, sample, _TENSOR_LABELS, mode)
-    entries += _mult_law_entries(ld.par_part, sample, _PAR_LABELS, mode)
-
-    t, p, leq = ld.mul, ld.par_mul, ld.carrier.leq
-    wit = None
-    for a, b, c in product(sample, repeat=3):
-        lhs, rhs = t(a, p(b, c)), p(t(a, b), c)
-        if not leq(lhs, rhs):
-            wit = {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
-            break
-    entries.append(law_entry("linear-distribution-left", wit, mode))
-
-    wit = None
-    for a, b, c in product(sample, repeat=3):
-        lhs, rhs = t(p(b, c), a), p(b, t(c, a))
-        if not leq(lhs, rhs):
-            wit = {"a": a, "b": b, "c": c, "lhs": lhs, "rhs": rhs}
-            break
-    entries.append(law_entry("linear-distribution-right", wit, mode))
-    return LawReport(suite, tuple(entries))
+    return _law_report(ld, domain_sample, window, suite,
+                       LAW_GROUPS["quantale"] + LAW_GROUPS["op-quantale"]
+                       + LAW_GROUPS["linear-distribution"])
 
 
 # ---------------------------------------------------------------------------

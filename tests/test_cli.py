@@ -212,3 +212,58 @@ def test_top_level_array_exit_two(command, tmp_path, capsys):
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert "JSON object" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-theorem", "ldq", "--entry", "zinf-tropical", "--window", "-1"],
+    ["find-dualizer", "{trop}", "--window", "-2"],
+    ["catalog", "--window", "-1"],
+    ["verify-qrel", "--entry", "bool", "--max-set", "0"],
+    ["verify-qrel", "--entry", "bool", "--sampler", "random:0"],
+    ["verify-qrel", "--entry", "bool", "--sampler", "random:-4"],
+    ["verify-qrel", "--entry", "bool", "--sampler", "random:x"],
+    ["verify-qrel", "--entry", "bool", "--sampler", "shuffle:4"],
+], ids=["negative-window", "negative-window-file", "negative-window-catalog",
+        "max-set-zero", "random-zero", "random-negative", "random-not-int",
+        "unknown-sampler"])
+def test_out_of_range_arguments_exit_two(argv, files, capsys):
+    argv = [a.format(trop=files["trop"]) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+def test_smallest_arguments_accepted(files, capsys):
+    assert main(["find-dualizer", files["trop"], "--window", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"dualizers": [0]}
+    assert main(["verify-qrel", "--entry", "bool", "--max-set", "1",
+                 "--sampler", "random:1"]) == 0
+
+
+@pytest.mark.parametrize("command, damage", [
+    ("check-quantale", lambda blob: blob.update(elements="01")),
+    ("check-quantale", lambda blob: blob.update(elements=2)),
+    ("verify-monq", lambda blob: blob["homs"]["*->*"].update(elements="01")),
+], ids=["quantale-string", "quantale-number", "quantaloid-string"])
+def test_element_list_as_string_exit_two(command, damage, files, tmp_path,
+                                         capsys):
+    blob = (json.loads(open(files["bool"]).read()) if command == "check-quantale"
+            else _bool_quantaloid_blob())
+    damage(blob)
+    path = tmp_path / "damaged.json"
+    path.write_text(json.dumps(blob))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "list" in err and "Traceback" not in err
+
+
+def test_members_as_string_exit_two(files, tmp_path, capsys):
+    blob = json.loads(open(files["f"]).read())
+    blob["target"]["members"] = "ab"
+    path = tmp_path / "string_members.json"
+    path.write_text(json.dumps(blob))
+    assert main(["compose", "--quantale", files["trop"], str(path),
+                 files["g"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "list" in err and "Traceback" not in err
