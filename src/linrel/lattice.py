@@ -92,18 +92,25 @@ class FiniteLattice:
 
 
 def build_lattice(
-    elements: Sequence[str], covers: Iterable[tuple[str, str]]
+    elements: Sequence[str], covers: Sequence[Sequence[str]]
 ) -> FiniteLattice:
     """Build a lattice from element names and cover pairs ``(lower, upper)``.
 
-    Fails with :class:`CyclicOrderError` if the closure violates
-    antisymmetry and with :class:`NotALatticeError` if some pair of
-    elements has no join or no meet.
+    Fails with :class:`InputFormatError` unless the names are strings and
+    each cover is a two-name list, with :class:`CyclicOrderError` if the
+    closure violates antisymmetry and with :class:`NotALatticeError` if
+    some pair of elements has no join or no meet.
     """
     if not isinstance(elements, (list, tuple)):
         raise InputFormatError(
             f"elements must be a list of names, not {type(elements).__name__}")
     names = tuple(elements)
+    for name in names:
+        if not isinstance(name, str):
+            raise InputFormatError(f"element names must be strings, not {name!r}")
+    if not isinstance(covers, (list, tuple)):
+        raise InputFormatError(
+            f"covers must be a list of pairs, not {type(covers).__name__}")
     if not names:
         raise NotALatticeError("a lattice needs at least one element")
     if len(set(names)) != len(names):
@@ -117,7 +124,12 @@ def build_lattice(
 
     # Reachability as bitmasks, starting from the reflexive relation.
     reach = [1 << i for i in range(n)]
-    for lo, hi in covers:
+    for pair in covers:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(name, str) for name in pair)):
+            raise InputFormatError(
+                f"each cover must be a [lower, upper] pair of names, not {pair!r}")
+        lo, hi = pair
         if lo not in index:
             raise UnknownElementError(f"cover pair references unknown name {lo!r}")
         if hi not in index:

@@ -432,14 +432,21 @@ def _case_witness(rels: tuple[QRelation, ...]) -> dict:
 def verify_qrel_laws(amb: Ambient, sets: Sequence[FiniteSet], sampler: Sampler,
                      suite: str = "qrel-laws",
                      labels: Sequence[str] | None = None) -> LawReport:
-    """Run the linear-quantaloid law suite on sampled relation tuples."""
+    """Run the linear-quantaloid law suite on sampled relation tuples.
+
+    Every law of one shape reads the same draw: the sampler is seeded
+    afresh per draw, so drawing it again would repeat the same cases.
+    """
     _require_par(amb)
     if labels is None:
         labels = tuple(REL_LAW_SPECS)
+    draws: dict[str, tuple[str, list[tuple[QRelation, ...]]]] = {}
     entries = []
     for label in labels:
         shape, pred = REL_LAW_SPECS[label]
-        mode, cases = sample_relation_tuples(amb, sets, sampler, shape)
+        if shape not in draws:
+            draws[shape] = sample_relation_tuples(amb, sets, sampler, shape)
+        mode, cases = draws[shape]
         wit = None
         for case in cases:
             if not pred(case):

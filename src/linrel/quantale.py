@@ -772,8 +772,7 @@ def _table_from_json(obj: dict) -> LoadedQuantale:
     for field in ("elements", "covers", "tensor", "unit"):
         if field not in obj:
             raise InputFormatError(f"quantale file is missing field {field!r}")
-    lattice = build_lattice(obj["elements"],
-                            [tuple(pair) for pair in obj["covers"]])
+    lattice = build_lattice(obj["elements"], obj["covers"])
     q = table_quantale(lattice, obj["tensor"], obj["unit"])
     ld = None
     if "par" in obj and obj["par"] is not None:

@@ -879,8 +879,7 @@ def quantaloid_from_json(obj: dict) -> FiniteQuantaloid:
             if not isinstance(blob, dict) or not {"elements", "covers"} <= blob.keys():
                 raise InputFormatError(
                     f"hom block {key!r} needs 'elements' and 'covers'")
-            homs[(a, b)] = build_lattice(blob["elements"],
-                                         [tuple(p) for p in blob["covers"]])
+            homs[(a, b)] = build_lattice(blob["elements"], blob["covers"])
 
     def tables_from(blobs, label):
         tables = {}

@@ -9,7 +9,7 @@ counterexamples through one-point structures for the backward direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -196,6 +196,10 @@ class CatalogEntry:
     ld_ok: bool
     dualizers: tuple[Elem, ...]
     girard: GirardQuantale | None
+    # The LD-law report the entry was classified with, over
+    # ``ld.sample_elements(window)``; evidence, not identity.
+    ld_report: LawReport = field(compare=False, repr=False)
+    window: int = field(compare=False, repr=False)
 
     @property
     def is_girard(self) -> bool:
@@ -215,7 +219,8 @@ def _classify(name: str, ld: LDQuantale, window: int) -> CatalogEntry:
             pick = ld.par_unit if ld.par_unit in dualizers else dualizers[0]
             girard = GirardQuantale(base=ld.tensor_part, dualizer=pick)
     return CatalogEntry(name=name, ld=ld, quantale_ok=quantale_ok,
-                        ld_ok=ld_ok, dualizers=dualizers, girard=girard)
+                        ld_ok=ld_ok, dualizers=dualizers, girard=girard,
+                        ld_report=report, window=window)
 
 
 def _frame_ld(lattice) -> LDQuantale:
@@ -332,7 +337,10 @@ def _side_entry(label: str, report: LawReport, mode: str) -> LawEntry:
     if report.ok:
         return law_entry(label, None, mode)
     fail = report.failing()[0]
-    return law_entry(label, {"law": fail.law, "witness": fail.witness}, mode)
+    # a copy: ``ldq`` passes the catalog's stored report, which every
+    # request shares
+    return law_entry(label, {"law": fail.law, "witness": dict(fail.witness)},
+                     mode)
 
 
 def _implications(base_ok: bool, derived_ok: bool, mode: str,
@@ -353,8 +361,10 @@ def _implications(base_ok: bool, derived_ok: bool, mode: str,
 def _thm_ldq(entry: CatalogEntry, sampler: Sampler,
              sets: Sequence[FiniteSet]) -> LawReport:
     suite = f"theorem-ldq[{entry.name}]"
-    sample = entry.ld.sample_elements(sampler.window)
-    base_rep = check_ld_laws(entry.ld, sample)
+    if entry.window == sampler.window:
+        base_rep = entry.ld_report
+    else:
+        base_rep = check_ld_laws(entry.ld, entry.ld.sample_elements(sampler.window))
     mode = sampler.random_label() if not entry.ld.carrier.is_finite \
         else "exhaustive"
     entries = [_side_entry("base-laws", base_rep, mode)]

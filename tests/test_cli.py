@@ -267,3 +267,47 @@ def test_members_as_string_exit_two(files, tmp_path, capsys):
                  files["g"]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "list" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("elements", [["0"], "1"]),
+    ("covers", "01"),
+    ("covers", [["0"]]),
+    ("covers", 5),
+], ids=["element-not-string", "covers-string", "cover-one-name", "covers-number"])
+def test_bad_lattice_shape_exit_two(field, value, files, tmp_path, capsys):
+    blob = json.loads(open(files["bool"]).read())
+    blob[field] = value
+    path = tmp_path / "bad_lattice.json"
+    path.write_text(json.dumps(blob))
+    assert main(["check-quantale", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("good", [
+    ["verify-qrel", "--entry", "chain3-broken", "--sampler", "random:20"],
+    ["verify-qrel", "--entry", "chain3-broken", "--sampler", "random:20", "--json"],
+], ids=["text", "json"])
+def test_parser_reuse_keeps_no_state(good, capsys):
+    # one parser serves every call in a process; a refused call in between
+    # must leave nothing behind for the next one
+    assert main(good) == 1
+    first = capsys.readouterr().out
+    assert main(["verify-qrel", "--entry", "bool", "--max-set", "0"]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(good) == 1
+    assert capsys.readouterr().out == first
+
+
+def test_parser_reuse_interleaves_json_and_text(capsys):
+    text = ["verify-qrel", "--entry", "bool", "--seed", "4"]
+    as_json = text + ["--json"]
+    outputs = []
+    for argv in (text, as_json, ["run-theorem", "ldq"], text, as_json):
+        outputs.append((main(argv), capsys.readouterr().out))
+    assert outputs[0] == outputs[3] and outputs[1] == outputs[4]
+    assert outputs[0][1].startswith("suite:")
+    assert json.loads(outputs[1][1])["suite"] == "qrel-laws[bool]"
+    assert outputs[2] == (2, "")
