@@ -188,8 +188,11 @@ def cmd_verify_qrel(args) -> int:
 
 
 def _base_quantaloid(args):
+    """The catalog entry's kept base, or a quantaloid built from the file."""
+    entry = None
     if args.entry:
-        ld = catalog_entry(args.entry, args.window).ld
+        entry = catalog_entry(args.entry, args.window)
+        ld = entry.ld
     elif not args.file:
         raise StructureError("provide a structure file or --entry NAME")
     else:
@@ -201,7 +204,7 @@ def _base_quantaloid(args):
             raise StructureError("structure has no par layer")
     if not ld.carrier.is_finite:
         raise StructureError("theorem drivers need a finite structure")
-    return one_object_quantaloid(ld)
+    return one_object_quantaloid(ld) if entry is None else entry.base
 
 
 def cmd_verify_qmod(args) -> int:

@@ -25,6 +25,7 @@ from .lattice import FiniteLattice
 from .laws import LAWS, Calculus
 from .quantaloid import (
     FiniteQuantaloid,
+    _memoized,
     check_girard_family,
     check_quantaloid_laws,
     hom_dual,
@@ -304,9 +305,8 @@ def _plan(base: FiniteQuantaloid, laws: tuple[_Law, ...], rhos: Mapping,
     """The plan of `laws` with the matrices in `given` fixed and those in
     `fill` searched, compiled once per base."""
     key = ("qmod-plan", laws, tuple(sorted(rhos.items())), given, fill)
-    if key not in base.memo:
-        base.memo[key] = _compile(base, laws, rhos, given, fill)
-    return base.memo[key]
+    return _memoized(base, key,
+                     partial(_compile, base, laws, rhos, given, fill))
 
 
 def _compile(base: FiniteQuantaloid, laws: tuple[_Law, ...], rhos: Mapping,
@@ -574,11 +574,10 @@ def _dual_transpose(base: FiniteQuantaloid, rows: Sequence[str],
     hom's dual map is computed once per base and family element."""
     duals = {}
     for a, b in product(set(rows), set(cols)):
-        key = ("qmod-duals", a, b, family[a])
-        if key not in base.memo:
-            base.memo[key] = {f: hom_dual(base, a, b, f, family)
-                              for f in base.hom(a, b).elements}
-        duals[(a, b)] = base.memo[key]
+        duals[(a, b)] = _memoized(
+            base, ("qmod-duals", a, b, family[a]),
+            lambda: {f: hom_dual(base, a, b, f, family)
+                     for f in base.hom(a, b).elements})
     return tuple(tuple(duals[(a, b)][mat[r][c]] for r, a in enumerate(rows))
                  for c, b in enumerate(cols))
 

@@ -8,12 +8,14 @@ its identities, making the structure a linear quantaloid candidate.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .errors import (
+    DuplicateNameError,
     InputFormatError,
     MismatchError,
     NoParStructureError,
@@ -31,6 +33,7 @@ from .report import LawReport, law_entry
 
 Obj = str
 Hom = tuple[str, str]
+Built = TypeVar("Built")
 
 
 @dataclass(frozen=True)
@@ -116,15 +119,41 @@ class FiniteQuantaloid:
         return self.units_bot[a]
 
 
+def _memoized(Q: FiniteQuantaloid, key: tuple,
+              build: Callable[[], Built]) -> Built:
+    """``Q.memo[key]``, set to ``build()`` on first use.  The result lives
+    as long as ``Q``, so it must not refer back to ``Q``, and callers that
+    hand it out give each caller its own mutable containers."""
+    memo = Q.memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _object_names(objects) -> tuple[Obj, ...]:
+    if not isinstance(objects, (list, tuple)):
+        raise InputFormatError(
+            f"objects must be a list of names, not {type(objects).__name__}")
+    seen: set[Obj] = set()
+    for a in objects:
+        if not isinstance(a, str):
+            raise InputFormatError(f"object names must be strings, not {a!r}")
+        if a in seen:
+            raise DuplicateNameError(f"duplicate object name {a!r}")
+        seen.add(a)
+    return tuple(objects)
+
+
 def finite_quantaloid(objects: Sequence[Obj],
                       homs: Mapping[Hom, FiniteLattice],
                       tensor_tables: Mapping[tuple[Obj, Obj, Obj], Sequence[Sequence[str]]],
                       units_top: Mapping[Obj, str],
                       par_tables: Mapping[tuple[Obj, Obj, Obj], Sequence[Sequence[str]]] | None = None,
                       units_bot: Mapping[Obj, str] | None = None) -> FiniteQuantaloid:
-    """Validating constructor: every pair needs a hom lattice, every
-    composable triple a total table with entries in the target hom."""
-    objs = tuple(objects)
+    """Validating constructor: object names are distinct strings, every
+    pair needs a hom lattice, every composable triple a total table of
+    rows with entries in the target hom."""
+    objs = _object_names(objects)
     homs = dict(homs)
     for pair in product(objs, repeat=2):
         if pair not in homs:
@@ -136,7 +165,12 @@ def finite_quantaloid(objects: Sequence[Obj],
             a, b, c = trip
             if trip not in tables:
                 raise InputFormatError(f"missing {label} table for {trip}")
-            rows = tuple(tuple(r) for r in tables[trip])
+            table = tables[trip]
+            if not (isinstance(table, (list, tuple))
+                    and all(isinstance(r, (list, tuple)) for r in table)):
+                raise InputFormatError(
+                    f"{label} table for {trip} must be a list of rows")
+            rows = tuple(tuple(r) for r in table)
             h_ab, h_bc, h_ac = homs[(a, b)], homs[(b, c)], homs[(a, c)]
             if len(rows) != len(h_ab) or any(len(r) != len(h_bc) for r in rows):
                 raise InputFormatError(f"{label} table for {trip} has wrong shape")
@@ -222,8 +256,18 @@ def check_quantaloid_laws(Q: FiniteQuantaloid,
     """Exhaustive composition laws over all composable tuples; the par
     layer, when present, is checked dually plus both linear distributions.
 
-    The checks run on ``Q.coded``; element names are looked up only to
-    build a witness, which is the first failing tuple in loop order."""
+    The checks run on ``Q.coded``, once per quantaloid; element names are
+    looked up only to build a witness, which is the first failing tuple in
+    loop order.  Each report gets its own copy of every witness."""
+    verdicts = _memoized(Q, ("quantaloid-laws",),
+                         partial(_quantaloid_law_verdicts, Q))
+    return LawReport(suite, tuple(law_entry(label, copy.deepcopy(wit),
+                                            "exhaustive")
+                                  for label, wit in verdicts))
+
+
+def _quantaloid_law_verdicts(Q: FiniteQuantaloid):
+    """Each law's label and first witness (None when it holds)."""
     code, homs, objs = Q.coded, Q.homs, Q.objects
     name = partial(_name, Q)
 
@@ -335,8 +379,7 @@ def check_quantaloid_laws(Q: FiniteQuantaloid,
     if Q.has_par:
         checks += [("linear-distribution-left", dist(True)),
                    ("linear-distribution-right", dist(False))]
-    return LawReport(suite, tuple(law_entry(label, wit, "exhaustive")
-                                  for label, wit in checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +496,19 @@ def check_monad(Q: FiniteQuantaloid, monad: Monad) -> bool:
 
 
 def monads_of(Q: FiniteQuantaloid) -> list[Monad]:
+    """The monads of Q in object and element order, found once per
+    quantaloid; each call gets a new list."""
+    return list(_memoized(Q, ("monads",), partial(_monads, Q)))
+
+
+def _monads(Q: FiniteQuantaloid) -> tuple[Monad, ...]:
     out = []
     for a in Q.objects:
         for m in Q.hom(a, a).elements:
             cand = Monad(a, m)
             if check_monad(Q, cand):
                 out.append(cand)
-    return out
+    return tuple(out)
 
 
 def check_monad_bimodule(Q: FiniteQuantaloid, bim: MonadBimodule) -> bool:
@@ -492,7 +541,8 @@ def monad_name(monad: Monad) -> str:
 
 def monq_quantaloid(Q: FiniteQuantaloid, monads: Sequence[Monad] | None = None,
                     cap: int = 64) -> FiniteQuantaloid:
-    """Materialize the quantaloid of monads and monad bimodules.
+    """Materialize the quantaloid of monads and monad bimodules, once per
+    quantaloid and monad list.
 
     Hom lattices are the bimodule subsets under the inherited order; they
     are closed under joins and meets whenever the base laws hold.
@@ -501,6 +551,11 @@ def monq_quantaloid(Q: FiniteQuantaloid, monads: Sequence[Monad] | None = None,
         monads = monads_of(Q)
     if len(monads) > cap:
         raise SearchSpaceError(f"{len(monads)} monads exceed the cap of {cap}")
+    monads = tuple(monads)
+    return _memoized(Q, ("monq", monads), partial(_monq, Q, monads))
+
+
+def _monq(Q: FiniteQuantaloid, monads: tuple[Monad, ...]) -> FiniteQuantaloid:
     names = {m: monad_name(m) for m in monads}
     homs = {}
     bim_elems: dict[tuple[Monad, Monad], list[str]] = {}
@@ -621,6 +676,12 @@ def validate_linear_monad_bimodule(Q: FiniteQuantaloid, bim: LinearMonadBimodule
 
 
 def linear_monads_of(Q: FiniteQuantaloid) -> list[LinearMonad]:
+    """The linear monads of Q in object and element order, found once per
+    quantaloid; each call gets a new list."""
+    return list(_memoized(Q, ("linear-monads",), partial(_linear_monads, Q)))
+
+
+def _linear_monads(Q: FiniteQuantaloid) -> tuple[LinearMonad, ...]:
     out = []
     for a in Q.objects:
         for t in Q.hom(a, a).elements:
@@ -628,7 +689,7 @@ def linear_monads_of(Q: FiniteQuantaloid) -> list[LinearMonad]:
                 cand = LinearMonad(a, t, p)
                 if check_linear_monad(Q, cand):
                     out.append(cand)
-    return out
+    return tuple(out)
 
 
 def check_linear_monad_bimodule(Q: FiniteQuantaloid,
@@ -690,7 +751,8 @@ def _pair_name(ft: str, fp: str) -> str:
 def linear_monq_quantaloid(Q: FiniteQuantaloid,
                            monads: Sequence[LinearMonad] | None = None,
                            cap: int = 64) -> FiniteQuantaloid:
-    """Materialize the linear quantaloid of linear monads.
+    """Materialize the linear quantaloid of linear monads, once per
+    quantaloid and monad list.
 
     Hom elements are bimodule pairs ordered with the par component
     reversed, so joins are pairs of join and meet.
@@ -699,6 +761,12 @@ def linear_monq_quantaloid(Q: FiniteQuantaloid,
         monads = linear_monads_of(Q)
     if len(monads) > cap:
         raise SearchSpaceError(f"{len(monads)} linear monads exceed cap {cap}")
+    monads = tuple(monads)
+    return _memoized(Q, ("linear-monq", monads), partial(_linear_monq, Q, monads))
+
+
+def _linear_monq(Q: FiniteQuantaloid,
+                 monads: tuple[LinearMonad, ...]) -> FiniteQuantaloid:
     names = {lm: linear_monad_name(lm) for lm in monads}
     bims: dict[tuple[LinearMonad, LinearMonad], list[LinearMonadBimodule]] = {}
     homs = {}
@@ -861,12 +929,20 @@ def _triple_key(a: Obj, b: Obj, c: Obj) -> str:
     return f"{a}->{b}->{c}"
 
 
+def _units_from_json(units, label: str) -> dict[Obj, str]:
+    if not isinstance(units, dict):
+        raise InputFormatError(
+            f"{label} must map each object to an element, not "
+            f"{type(units).__name__}")
+    return units
+
+
 def quantaloid_from_json(obj: dict) -> FiniteQuantaloid:
     try:
-        objects = list(obj["objects"])
+        objects = _object_names(obj["objects"])
         hom_blobs = obj["homs"]
         compose_blobs = obj["compose"]
-        units = dict(obj["units"])
+        units = _units_from_json(obj["units"], "units")
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"quantaloid file is missing field: {exc}") from None
     homs = {}
@@ -896,7 +972,7 @@ def quantaloid_from_json(obj: dict) -> FiniteQuantaloid:
     par_units = None
     if "par_compose" in obj and obj["par_compose"] is not None:
         par_tables = tables_from(obj["par_compose"], "par")
-        par_units = dict(obj.get("par_units") or {})
+        par_units = _units_from_json(obj.get("par_units") or {}, "par_units")
     return finite_quantaloid(objects, homs, tables_from(compose_blobs, "compose"),
                              units, par_tables, par_units)
 

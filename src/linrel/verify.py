@@ -10,7 +10,7 @@ counterexamples through one-point structures for the backward direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .errors import MismatchError, NotGirardError, UnknownElementError
@@ -70,6 +70,7 @@ from .qrel import (
     verify_qrel_laws,
 )
 from .quantaloid import (
+    FiniteQuantaloid,
     check_girard_family,
     find_girard_families,
     monads_of,
@@ -204,6 +205,12 @@ class CatalogEntry:
     @property
     def is_girard(self) -> bool:
         return self.girard is not None
+
+    @cached_property
+    def base(self) -> FiniteQuantaloid:
+        """``ld`` as a one-object quantaloid, built on first use and kept,
+        with the results its ``memo`` gathers, as long as the entry."""
+        return one_object_quantaloid(self.ld)
 
 
 def _classify(name: str, ld: LDQuantale, window: int) -> CatalogEntry:
@@ -449,11 +456,11 @@ def _thm_girard_qrel(entry: CatalogEntry, sampler: Sampler,
     return LawReport(suite, tuple(entries))
 
 
-def _finite_base(entry: CatalogEntry):
+def _finite_base(entry: CatalogEntry) -> FiniteQuantaloid:
     if not entry.ld.carrier.is_finite:
         raise MismatchError(
             f"theorem needs a finite base; {entry.name!r} is not")
-    return one_object_quantaloid(entry.ld)
+    return entry.base
 
 
 def _thm_girard_qmod(entry: CatalogEntry, sampler: Sampler,

@@ -148,6 +148,19 @@ def test_verify_monq_and_qmod_cli():
     assert main(["verify-monq", "--entry", "zinf-tropical"]) == 2
 
 
+def test_entry_base_is_kept_and_file_base_is_not(tmp_path):
+    from linrel.cli import _base_quantaloid, build_parser
+    from linrel.quantaloid import quantaloid_to_json
+    from linrel.verify import catalog_entry
+    path = tmp_path / "boolq.json"
+    path.write_text(json.dumps(quantaloid_to_json(catalog_entry("bool").base)))
+    parse = build_parser().parse_args
+    by_entry = parse(["verify-monq", "--entry", "bool", "--window", "4"])
+    assert _base_quantaloid(by_entry) is catalog_entry("bool", 4).base
+    by_file = parse(["verify-monq", str(path)])
+    assert _base_quantaloid(by_file) is not _base_quantaloid(by_file)
+
+
 def test_verify_monq_accepts_quantaloid_file(tmp_path):
     from linrel.quantaloid import one_object_quantaloid, quantaloid_to_json
     from linrel.verify import catalog_entry
@@ -203,6 +216,33 @@ def test_bad_quantaloid_file_exit_two(damage, tmp_path, capsys):
     assert main(["verify-monq", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _list_named_object(blob):
+    # a list as an object name, with blocks keyed by its text
+    blob["objects"] = [["*"]]
+    blob["homs"] = {"['*']->['*']": blob["homs"]["*->*"]}
+    blob["compose"] = {"['*']->['*']->['*']": blob["compose"]["*->*->*"]}
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob.update(units=["a"]),
+    lambda blob: blob.update(par_units=["a"]),
+    lambda blob: blob["compose"].update({"*->*->*": 5}),
+    lambda blob: blob.update(objects="*"),
+    lambda blob: blob.update(objects=["*", "*"]),
+    _list_named_object,
+], ids=["units-list", "par-units-list", "compose-number", "objects-string",
+        "objects-duplicate", "object-name-list"])
+def test_bad_quantaloid_shape_exit_two(damage, tmp_path, capsys):
+    blob = _bool_quantaloid_blob()
+    damage(blob)
+    path = tmp_path / "bad_shape.json"
+    path.write_text(json.dumps(blob))
+    assert main(["verify-monq", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["verify-monq", "check-quantale"])

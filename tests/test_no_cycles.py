@@ -32,7 +32,13 @@ from linrel.qrel import (
     right_lifting,
 )
 from linrel.quantale import quantale_from_json
-from linrel.quantaloid import one_object_quantaloid
+from linrel.quantaloid import (
+    check_quantaloid_laws,
+    linear_monq_quantaloid,
+    monads_of,
+    monq_quantaloid,
+    one_object_quantaloid,
+)
 from linrel.verify import build_catalog, catalog_entry
 
 QUANTALE_FILES = {
@@ -82,6 +88,22 @@ def test_qmod_plans_leave_no_cycles():
             linear = girard_linear_bimodule(B, family)
             validate_qbimodule(linear)
             check_qmod_linear_adjoint(linear, qmod_linear_adjoint(linear, family))
+
+    assert garbage_left_by(work) == 0
+
+
+@pytest.mark.parametrize("name", ["chain3", "bool-broken"])
+def test_base_memo_leaves_no_cycles(name):
+    """The law verdicts, monads and monad quantaloids kept in a base's memo
+    go with the base."""
+    entry = catalog_entry(name)
+
+    def work():
+        base = one_object_quantaloid(entry.ld)
+        check_quantaloid_laws(base)
+        monads_of(base)
+        check_quantaloid_laws(monq_quantaloid(base))
+        check_quantaloid_laws(linear_monq_quantaloid(base))
 
     assert garbage_left_by(work) == 0
 

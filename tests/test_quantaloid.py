@@ -261,6 +261,48 @@ def test_linear_monq_quantaloid_laws():
         assert check_quantaloid_laws(monq).ok, name
 
 
+# -- results kept in the base's memo -------------------------------------------
+
+
+def test_law_report_witnesses_are_copies():
+    Q = one_object_quantaloid(catalog_entry("bool-broken").ld)
+    first = check_quantaloid_laws(Q)
+    assert not first.ok
+    before = first.json_bytes()
+    for e in first.failing():
+        e.witness["objects"].append("edited")
+        e.witness["lhs"] = "edited"
+    assert check_quantaloid_laws(Q).json_bytes() == before
+    other = check_quantaloid_laws(Q, suite="other")
+    assert other.suite == "other"
+    assert other.entries == check_quantaloid_laws(Q).entries
+
+
+def test_monad_lists_are_new_per_call():
+    Q = chain3_base()
+    for find in (monads_of, linear_monads_of):
+        first = find(Q)
+        want = list(first)
+        first.append(first[0])
+        assert find(Q) == want, find.__name__
+
+
+def test_monad_quantaloids_kept_per_monad_list():
+    Q = one_object_quantaloid(catalog_entry("z2shift").ld)
+    for build, find in ((monq_quantaloid, monads_of),
+                        (linear_monq_quantaloid, linear_monads_of)):
+        monads = find(Q)
+        whole = build(Q)
+        assert whole is build(Q, monads)
+        assert check_quantaloid_laws(whole).ok
+        part = build(Q, monads[:1])
+        assert part is not whole and part is build(Q, monads[:1])
+        assert len(part.objects) == 1
+        # the cap refuses a kept monad quantaloid too
+        with pytest.raises(SearchSpaceError):
+            build(Q, cap=len(monads) - 1)
+
+
 def test_linear_theorem_good_entries():
     for name in ("bool", "chain3", "diamond", "z2shift", "z3shift", "point"):
         Q = one_object_quantaloid(catalog_entry(name).ld)
