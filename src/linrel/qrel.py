@@ -4,13 +4,20 @@ A relation is a dense matrix of carrier elements.  Tensor composition
 joins pointwise products over the middle set; par composition meets
 pointwise par sums.  Together with the two identity families this is the
 1-cell calculus the law suites in :mod:`linrel.verify` exercise.
+
+Over a finite carrier a relation keeps its matrix once, as element
+indices, and every composition, pointwise operation and comparison runs
+on the ambient's :class:`~linrel.quantale.IndexTables`.  Over the
+extended integers it keeps its elements and runs on the closed-form
+kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from operator import attrgetter
+from functools import cache
+from itertools import chain, product
+from operator import attrgetter, getitem, itemgetter
 from typing import Any, Iterator, Sequence
 
 from .errors import (
@@ -19,9 +26,10 @@ from .errors import (
     MismatchError,
     NoParStructureError,
     NotGirardError,
+    UnknownElementError,
 )
 from .laws import LAWS, SHAPE_SLOTS, WITNESS_KEYS, Calculus
-from .quantale import MINUS_INF, PLUS_INF, Elem
+from .quantale import MINUS_INF, PLUS_INF, Elem, IndexTables
 from .report import LawReport, Sampler, law_entry
 
 # Quantale, GirardQuantale, or LDQuantale; duck-typed on the shared
@@ -48,22 +56,107 @@ def finite_set(name: str, members: Sequence[str]) -> FiniteSet:
     return FiniteSet(name=name, members=members)
 
 
-@dataclass(frozen=True)
-class QRelation:
-    """A matrix of carrier elements indexed (source member, target member)."""
+def _rows(cells: Sequence, nx: int, ny: int) -> tuple[tuple, ...]:
+    """Row-major ``cells`` as ``nx`` rows of ``ny``."""
+    if not ny:
+        return ((),) * nx
+    return tuple(zip(*[iter(cells)] * ny))
 
-    source: FiniteSet
-    target: FiniteSet
-    ambient: Ambient
-    values: tuple[tuple[Elem, ...], ...]
+
+class QRelation:
+    """A matrix of carrier elements indexed (source member, target member).
+
+    ``values`` holds the rows of elements.  Over a finite carrier the
+    matrix is stored as ``codes``, the element indices of its entries in
+    row-major order, and ``values`` is decoded from them on first read;
+    over the extended integers ``codes`` is None.  Treat it as immutable.
+    """
+
+    # ``_row_blocks`` and ``_column_picks`` are filled when the relation
+    # first enters a composition as its left or right operand.
+    __slots__ = ("source", "target", "ambient", "codes", "_values",
+                 "_row_blocks", "_column_picks")
+
+    def __init__(self, source: FiniteSet, target: FiniteSet, ambient: Ambient,
+                 values: Sequence[Sequence[Elem]]) -> None:
+        """Trusts ``values``; :func:`relation` is the validating constructor."""
+        self.source, self.target, self.ambient = source, target, ambient
+        self._values = values
+        self._row_blocks = self._column_picks = None
+        t = ambient.index_tables
+        try:
+            self.codes = None if t is None else \
+                tuple(map(t.index.__getitem__, chain.from_iterable(values)))
+        except (KeyError, TypeError):
+            raise UnknownElementError("relation entry is not an element") from None
+
+    @property
+    def values(self) -> tuple[tuple[Elem, ...], ...]:
+        values = self._values
+        if values is None:
+            codes, elements = self.codes, self.ambient.index_tables.elements
+            ny = len(self.target.members)
+            if ny and len(codes) > 1:
+                values = tuple(zip(*[iter(itemgetter(*codes)(elements))] * ny))
+            else:
+                values = _rows([elements[c] for c in codes], len(self.source.members), ny)
+            self._values = values
+        return values
+
+    def _key(self) -> tuple:
+        return (self.source, self.target, self.ambient,
+                self.values if self.codes is None else self.codes)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not QRelation:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"QRelation(source={self.source!r}, target={self.target!r}, "
+                f"ambient={self.ambient!r}, values={self.values!r})")
 
     def entry(self, x: str, y: str) -> Elem:
         return self.values[self.source.members.index(x)][self.target.members.index(y)]
 
 
+_new = object.__new__
+
+
+def _made(source: FiniteSet, target: FiniteSet, amb: Ambient,
+          codes: tuple[int, ...] | None, values=None) -> QRelation:
+    """A relation from its row-major element indices over a finite
+    carrier, or from its rows of elements (``codes`` None) otherwise."""
+    r = _new(QRelation)
+    r.source, r.target, r.ambient, r.codes, r._values = source, target, amb, codes, values
+    r._row_blocks = r._column_picks = None
+    return r
+
+
+def _cells(r: QRelation) -> tuple:
+    """The entries in row-major order: element indices over a finite
+    carrier, elements over the extended integers."""
+    return r.codes if r.codes is not None else tuple(chain.from_iterable(r.values))
+
+
+def _from_cells(source: FiniteSet, target: FiniteSet, amb: Ambient,
+                cells: Sequence) -> QRelation:
+    """Inverse of :func:`_cells`."""
+    if amb.index_tables is not None:
+        return _made(source, target, amb, tuple(cells))
+    return _made(source, target, amb, None,
+                 _rows(cells, len(source.members), len(target.members)))
+
+
 def relation(source: FiniteSet, target: FiniteSet, ambient: Ambient,
              values: Sequence[Sequence[Elem]]) -> QRelation:
     """Validating constructor; composition results skip the entry scan."""
+    if not isinstance(values, (list, tuple)) or \
+            not all(isinstance(row, (list, tuple)) for row in values):
+        raise InputFormatError("relation values must be a list of row lists")
     rows = tuple(tuple(row) for row in values)
     if len(rows) != len(source) or any(len(r) != len(target) for r in rows):
         raise MismatchError(
@@ -73,7 +166,7 @@ def relation(source: FiniteSet, target: FiniteSet, ambient: Ambient,
         for v in row:
             if not ambient.contains(v):
                 ambient.carrier.check(v)
-    return QRelation(source=source, target=target, ambient=ambient, values=rows)
+    return QRelation(source, target, ambient, rows)
 
 
 def _require_par(amb: Ambient) -> None:
@@ -95,25 +188,74 @@ def _columns(r: QRelation) -> list[tuple[Elem, ...]]:
     return list(zip(*r.values)) if r.values else [()] * len(r.target)
 
 
-def _compose(f: QRelation, g: QRelation, kernel, op, agg) -> QRelation:
-    """``agg`` over the middle set of pointwise ``op`` products; ``kernel``
-    is the ambient's FoldKernel for the pair, or None on ZInt backends,
-    whose unchecked ``op`` trusts the relations' validated entries."""
-    if kernel is None:
-        cols = _columns(g)
-        vals = tuple(tuple(agg(map(op, frow, col)) for col in cols)
-                     for frow in f.values)
-    else:
-        vals = kernel.compose(f.values, g.values, len(g.target))
-    return QRelation(f.source, g.target, f.ambient, vals)
+@cache
+def _spans(n: int, width: int) -> tuple[tuple[int, int], ...]:
+    """Start and width of each block of a middle set of ``n`` members."""
+    return tuple((start, min(width, n - start)) for start in range(0, n, width))
+
+
+def _row_blocks(r: QRelation, t: IndexTables) -> list[tuple[int, list[int]]]:
+    """For each block of ``r``'s target, its width and the vector number
+    of each row's part in it."""
+    n, codes = len(r.target.members), r.codes
+    return [(w, [t.blocks[w][0][codes[i:i + w]] for i in range(start, len(codes), n)])
+            for start, w in _spans(n, t.width)]
+
+
+def _column_picks(r: QRelation, t: IndexTables) -> list[itemgetter]:
+    """For each block of ``r``'s source, a picker of the vector numbers
+    of the columns' parts in it."""
+    nz, codes = len(r.target.members), r.codes
+    return [itemgetter(*[t.blocks[w][0][codes[start * nz + z:(start + w) * nz:nz]]
+                         for z in range(nz)])
+            for start, w in _spans(len(r.source.members), t.width)]
+
+
+def _compose(f: QRelation, g: QRelation, op: str, fold, empty: int) -> QRelation:
+    """Entry (x, z) folds ``op`` products over the middle set, a block of
+    the ambient's index tables at a time: the part of row x in a block is
+    a row of the block's table, and the part of column z picks one entry
+    from it.  ``fold`` is the lattice table that joins (or meets) the
+    blocks, and ``empty`` the result of an empty middle set.  Each operand
+    keeps its block numbering for the next composition it enters."""
+    t = f.ambient.index_tables
+    nz = len(g.target.members)
+    if not nz or not f.target.members:
+        return _made(f.source, g.target, f.ambient,
+                     (empty,) * (len(f.source.members) * nz))
+    rows, picks = f._row_blocks, g._column_picks
+    if rows is None:
+        rows = f._row_blocks = _row_blocks(f, t)
+    if picks is None:
+        picks = g._column_picks = _column_picks(g, t)
+    acc = None
+    for (w, vectors), pick in zip(rows, picks):
+        table = t.blocks[w][1][op]
+        block = [pick(table[u]) for u in vectors]
+        if nz > 1:
+            block = chain.from_iterable(block)
+        acc = block if acc is None else [fold[a][b] for a, b in zip(acc, block)]
+    return _made(f.source, g.target, f.ambient, tuple(acc))
+
+
+def _compose_values(f: QRelation, g: QRelation, op, agg) -> QRelation:
+    """``agg`` over the middle set of pointwise ``op`` products, for ZInt
+    backends, whose unchecked ``op`` trusts the relations' validated
+    entries."""
+    cols = _columns(g)
+    return _made(f.source, g.target, f.ambient, None,
+                 tuple(tuple(agg(map(op, frow, col)) for col in cols)
+                       for frow in f.values))
 
 
 def compose_tensor(f: QRelation, g: QRelation) -> QRelation:
     """Join over the middle set of pointwise tensor products."""
     _require_composable(f, g)
     amb = f.ambient
-    return _compose(f, g, getattr(amb, "tensor_fold", None), amb.mul,
-                    amb.carrier.join)
+    t = amb.index_tables
+    if t is None:
+        return _compose_values(f, g, amb.mul, amb.carrier.join)
+    return _compose(f, g, "tensor", t.join, t.bottom)
 
 
 def compose_par(f: QRelation, g: QRelation) -> QRelation:
@@ -121,64 +263,90 @@ def compose_par(f: QRelation, g: QRelation) -> QRelation:
     _require_composable(f, g)
     _require_par(f.ambient)
     amb = f.ambient
-    return _compose(f, g, getattr(amb, "par_fold", None), amb.par_mul,
-                    amb.carrier.meet)
+    t = amb.index_tables
+    if t is None:
+        return _compose_values(f, g, amb.par_mul, amb.carrier.meet)
+    return _compose(f, g, "par", t.meet, t.top)
+
+
+def _diagonal(X: FiniteSet, amb: Ambient, on: Elem, off: Elem) -> QRelation:
+    """``on`` on the diagonal of X x X, ``off`` elsewhere."""
+    t = amb.index_tables
+    if t is not None:
+        on, off = t.index[on], t.index[off]
+    n = len(X.members)
+    cells = [off] * (n * n)
+    cells[::n + 1] = [on] * n
+    return _from_cells(X, X, amb, cells)
 
 
 def id_top(X: FiniteSet, amb: Ambient) -> QRelation:
     """Tensor identity: the unit on the diagonal, bottom elsewhere."""
-    unit, bot = amb.unit, amb.bottom
-    n = len(X)
-    vals = tuple(tuple(unit if i == j else bot for j in range(n)) for i in range(n))
-    return QRelation(X, X, amb, vals)
+    return _diagonal(X, amb, amb.unit, amb.bottom)
 
 
 def id_bot(X: FiniteSet, amb: Ambient) -> QRelation:
     """Par identity: the par unit on the diagonal, top elsewhere."""
     _require_par(amb)
-    pu, top = amb.par_unit, amb.top
-    n = len(X)
-    vals = tuple(tuple(pu if i == j else top for j in range(n)) for i in range(n))
-    return QRelation(X, X, amb, vals)
+    return _diagonal(X, amb, amb.par_unit, amb.top)
+
+
+def _constant(X: FiniteSet, Y: FiniteSet, amb: Ambient, v: Elem) -> QRelation:
+    t = amb.index_tables
+    if t is not None:
+        v = t.index[v]
+    return _from_cells(X, Y, amb, (v,) * (len(X.members) * len(Y.members)))
 
 
 def zero_relation(X: FiniteSet, Y: FiniteSet, amb: Ambient) -> QRelation:
-    bot = amb.bottom
-    return QRelation(X, Y, amb, tuple(tuple(bot for _ in Y.members)
-                                      for _ in X.members))
+    return _constant(X, Y, amb, amb.bottom)
 
 
 def top_relation(X: FiniteSet, Y: FiniteSet, amb: Ambient) -> QRelation:
-    top = amb.top
-    return QRelation(X, Y, amb, tuple(tuple(top for _ in Y.members)
-                                      for _ in X.members))
+    return _constant(X, Y, amb, amb.top)
 
 
 def _require_parallel(f: QRelation, g: QRelation) -> None:
-    if f.source != g.source or f.target != g.target or f.ambient != g.ambient:
+    if not ((f.source is g.source or f.source == g.source)
+            and (f.target is g.target or f.target == g.target)
+            and (f.ambient is g.ambient or f.ambient == g.ambient)):
         raise MismatchError("relations are not parallel")
 
 
 def rel_leq(f: QRelation, g: QRelation) -> bool:
     _require_parallel(f, g)
-    leq = f.ambient.leq
-    return all(leq(a, b) for fr, gr in zip(f.values, g.values)
-               for a, b in zip(fr, gr))
+    t = f.ambient.index_tables
+    if t is None:
+        leq = f.ambient.leq
+        return all(leq(a, b) for fr, gr in zip(f.values, g.values)
+                   for a, b in zip(fr, gr))
+    return all(map(getitem, map(t.leq.__getitem__, f.codes), g.codes))
 
 
-def _pointwise(f: QRelation, g: QRelation, agg) -> QRelation:
+def _pointwise(f: QRelation, g: QRelation, op: attrgetter) -> QRelation:
+    """Entrywise ``op``: the index table of that name, or the carrier's
+    fold of that name on ZInt backends."""
     _require_parallel(f, g)
-    vals = tuple(tuple(agg((a, b)) for a, b in zip(fr, gr))
-                 for fr, gr in zip(f.values, g.values))
-    return QRelation(f.source, f.target, f.ambient, vals)
+    amb = f.ambient
+    t = amb.index_tables
+    if t is None:
+        agg = op(amb.carrier)
+        return _made(f.source, f.target, amb, None,
+                     tuple(tuple(agg((a, b)) for a, b in zip(fr, gr))
+                           for fr, gr in zip(f.values, g.values)))
+    return _made(f.source, f.target, amb,
+                 tuple(map(getitem, map(op(t).__getitem__, f.codes), g.codes)))
+
+
+_JOIN, _MEET = attrgetter("join"), attrgetter("meet")
 
 
 def rel_join(f: QRelation, g: QRelation) -> QRelation:
-    return _pointwise(f, g, f.ambient.join)
+    return _pointwise(f, g, _JOIN)
 
 
 def rel_meet(f: QRelation, g: QRelation) -> QRelation:
-    return _pointwise(f, g, f.ambient.meet)
+    return _pointwise(f, g, _MEET)
 
 
 def right_extension(f: QRelation, h: QRelation) -> QRelation:
@@ -210,11 +378,7 @@ def dual_family(X: FiniteSet, amb: Ambient, d: Elem | None = None) -> QRelation:
         d = getattr(amb, "dualizer", None)
         if d is None:
             raise NotGirardError("no dualizer available for the dual family")
-    amb.carrier.check(d)
-    top = amb.top
-    n = len(X)
-    vals = tuple(tuple(d if i == j else top for j in range(n)) for i in range(n))
-    return QRelation(X, X, amb, vals)
+    return _diagonal(X, amb, amb.carrier.check(d), amb.top)
 
 
 def rel_dual(r: QRelation, d: Elem | None = None) -> QRelation:
@@ -246,11 +410,9 @@ def check_linear_adjoint(A: QRelation, B: QRelation) -> bool:
 
 def enumerate_relations(amb: Ambient, X: FiniteSet, Y: FiniteSet) -> Iterator[QRelation]:
     """All relations X->Y over a finite carrier, in element declaration order."""
-    els = amb.carrier.lattice.elements
-    nx, ny = len(X), len(Y)
-    for flat in product(els, repeat=nx * ny):
-        vals = tuple(flat[i * ny:(i + 1) * ny] for i in range(nx))
-        yield QRelation(X, Y, amb, vals)
+    n = len(amb.index_tables.elements)
+    for codes in product(range(n), repeat=len(X.members) * len(Y.members)):
+        yield _made(X, Y, amb, codes)
 
 
 def count_relations(amb: Ambient, X: FiniteSet, Y: FiniteSet) -> int | None:
@@ -262,19 +424,22 @@ def count_relations(amb: Ambient, X: FiniteSet, Y: FiniteSet) -> int | None:
 
 def random_relation(rng, amb: Ambient, X: FiniteSet, Y: FiniteSet,
                     window: int = 10, inf_weight: float = 0.125) -> QRelation:
-    if amb.carrier.is_finite:
-        els = amb.carrier.lattice.elements
-        vals = tuple(tuple(rng.choice(els) for _ in Y.members) for _ in X.members)
-    else:
-        def entry() -> Elem:
-            u = rng.random()
-            if u < inf_weight:
-                return PLUS_INF
-            if u < 2 * inf_weight:
-                return MINUS_INF
-            return rng.randint(-window, window)
-        vals = tuple(tuple(entry() for _ in Y.members) for _ in X.members)
-    return QRelation(X, Y, amb, vals)
+    t = amb.index_tables
+    if t is not None:
+        # ``choice`` of an index draws exactly what it draws of the elements
+        choice, codes = rng.choice, range(len(t.elements))
+        return _made(X, Y, amb, tuple([choice(codes) for _ in
+                                       range(len(X.members) * len(Y.members))]))
+
+    def entry() -> Elem:
+        u = rng.random()
+        if u < inf_weight:
+            return PLUS_INF
+        if u < 2 * inf_weight:
+            return MINUS_INF
+        return rng.randint(-window, window)
+    return _made(X, Y, amb, None, tuple(tuple(entry() for _ in Y.members)
+                                        for _ in X.members))
 
 
 def sample_relation_tuples(amb: Ambient, sets: Sequence[FiniteSet],
@@ -338,7 +503,7 @@ QREL_CALCULUS = Calculus(
     join=rel_join,
     meet=rel_meet,
     leq=rel_leq,
-    eq=lambda f, g: f.values == g.values,
+    eq=lambda f, g: f.values == g.values if f.codes is None else f.codes == g.codes,
     source=attrgetter("source"),
     target=attrgetter("target"),
 )
@@ -355,14 +520,15 @@ def _shrink_case(rels: tuple[QRelation, ...], pred) -> tuple[QRelation, ...]:
     """Greedy witness minimization: drop set members, then lower entries."""
 
     def restrict(rel: QRelation, victim: FiniteSet, keep: tuple[int, ...]) -> QRelation:
-        src, tgt, vals = rel.source, rel.target, rel.values
+        src, tgt = rel.source, rel.target
+        rows = _rows(_cells(rel), len(src.members), len(tgt.members))
         if src == victim:
             src = FiniteSet(src.name, tuple(src.members[i] for i in keep))
-            vals = tuple(vals[i] for i in keep)
+            rows = tuple(rows[i] for i in keep)
         if tgt == victim:
             tgt = FiniteSet(tgt.name, tuple(tgt.members[i] for i in keep))
-            vals = tuple(tuple(row[i] for i in keep) for row in vals)
-        return QRelation(src, tgt, rel.ambient, vals)
+            rows = tuple(tuple(row[i] for i in keep) for row in rows)
+        return _from_cells(src, tgt, rel.ambient, tuple(chain.from_iterable(rows)))
 
     changed = True
     while changed:
@@ -386,31 +552,31 @@ def _shrink_case(rels: tuple[QRelation, ...], pred) -> tuple[QRelation, ...]:
             if changed:
                 break
 
+    # Lower each entry, in row-major order, to the first element below it
+    # that keeps the case failing: indices in declaration order over a
+    # finite carrier, minus infinity then zero over the extended integers.
     amb = rels[0].ambient
-    if amb.carrier.is_finite:
-        lows = list(amb.carrier.lattice.elements)
+    t = amb.index_tables
+    if t is not None:
+        lows, leq = range(len(t.elements)), lambda a, b: t.leq[a][b]
     else:
-        lows = [MINUS_INF, 0]
+        lows, leq = (MINUS_INF, 0), amb.leq
     changed = True
     while changed:
         changed = False
         for ri, rel in enumerate(rels):
-            for x in range(len(rel.source)):
-                for y in range(len(rel.target)):
-                    cur = rel.values[x][y]
-                    for low in lows:
-                        if low == cur or not amb.leq(low, cur):
-                            continue
-                        vals = list(map(list, rel.values))
-                        vals[x][y] = low
-                        cand_rel = QRelation(rel.source, rel.target, amb,
-                                             tuple(map(tuple, vals)))
-                        candidate = rels[:ri] + (cand_rel,) + rels[ri + 1:]
-                        if not pred(candidate):
-                            rels = candidate
-                            rel = cand_rel
-                            changed = True
-                            break
+            cells = _cells(rel)
+            for k, cur in enumerate(cells):
+                for low in lows:
+                    if low == cur or not leq(low, cur):
+                        continue
+                    cand_cells = cells[:k] + (low,) + cells[k + 1:]
+                    cand_rel = _from_cells(rel.source, rel.target, amb, cand_cells)
+                    candidate = rels[:ri] + (cand_rel,) + rels[ri + 1:]
+                    if not pred(candidate):
+                        rels, cells = candidate, cand_cells
+                        changed = True
+                        break
     return rels
 
 

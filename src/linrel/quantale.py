@@ -10,7 +10,7 @@ both views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import compress, product, starmap
 from operator import attrgetter, eq, itemgetter, not_
@@ -181,80 +181,98 @@ class ZIntOp:
         return top if a == bot or b == top else bot
 
 
-# A middle-set length is tabulated by FoldKernel when the carrier has at
-# most this many vectors of that length; its tables then hold at most
-# FOLD_VECTORS**2 elements.
-FOLD_VECTORS = 64
+# Relation composition folds the middle set in blocks no wider than the
+# carrier has at most this many index vectors of, so that a block table
+# holds at most its square.
+_BLOCK_VECTORS = 64
 
 
-class FoldKernel:
-    """Matrix products over finite tables: entry (x, z) folds
-    ``fold[acc][prod[f[x][y]][g[y][z]]]`` over y, starting from ``start``.
+@dataclass(frozen=True)
+class IndexTables:
+    """A finite carrier's relation calculus on element indices.
 
-    For a tabulated length each column of g is coded as its index among
-    all vectors of that length, and each row of f is folded against all of
-    them on first use, so an entry is one lookup.  Other lengths, and
-    single columns, fold entry by entry.
+    ``tensor[a][b]`` and ``par[a][b]`` (None without a par) are the
+    indices of the products of elements ``a`` and ``b``, the same tables
+    as the coded view of the one-object quantaloid; ``join``, ``meet`` and
+    ``leq`` are the lattice's own tables.  Nothing here refers back to the
+    ambient structure.
+
+    A composition folds products over the middle set in blocks of at most
+    ``width`` entries (the widest with at most ``_BLOCK_VECTORS`` index
+    vectors): the block of a row and the block of a column are numbered
+    as vectors, and one lookup in a table of ``blocks`` folds their
+    products.
     """
 
-    def __init__(self, prod: dict, fold: dict, start: Elem):
-        self.prod, self.fold, self.start = prod, fold, start
-        # length -> (column codes, all vectors, row -> folds), or None
-        self._tables: dict[int, tuple[dict, list, dict] | None] = {}
+    elements: tuple[str, ...]
+    index: dict[str, int]
+    tensor: tuple[tuple[int, ...], ...]
+    par: tuple[tuple[int, ...], ...] | None
+    join: tuple[tuple[int, ...], ...]
+    meet: tuple[tuple[int, ...], ...]
+    leq: tuple[tuple[bool, ...], ...]
+    bottom: int
+    top: int
+    width: int
+    blocks: _Blocks = field(repr=False, compare=False)
 
-    def fold_row(self, row: Sequence[Elem],
-                 cols: Sequence[Sequence[Elem]]) -> tuple[Elem, ...]:
-        fold, start = self.fold, self.start
-        ps = [self.prod[a] for a in row]
-        out = []
-        for col in cols:
-            acc = start
-            for p, b in zip(ps, col):
-                acc = fold[acc][p[b]]
-            out.append(acc)
-        return tuple(out)
 
-    def _tabulated(self, n: int) -> tuple[dict, list, dict] | None:
-        if n not in self._tables:
-            self._tables[n] = None
-            if len(self.prod) ** n <= FOLD_VECTORS:
-                vectors = list(product(self.prod, repeat=n))
-                codes = {v: i for i, v in enumerate(vectors)}
-                self._tables[n] = (codes, vectors, {})
-        return self._tables[n]
+class _Blocks(dict):
+    """``blocks[w]``, built on first use: the number of each ``w``-tuple
+    of indices in product order, and for each op ("tensor", "par") the
+    table whose entry ``[u][v]`` is the join (meet for "par") of the op's
+    products of the entries of the vectors numbered ``u`` and ``v``,
+    folded from the left."""
 
-    def compose(self, fv: Sequence[tuple], gv: Sequence[tuple],
-                nz: int) -> tuple[tuple[Elem, ...], ...]:
-        cols = list(zip(*gv)) if gv else [()] * nz
-        tables = self._tabulated(len(gv)) if nz > 1 else None
-        if tables is None:
-            return tuple(self.fold_row(r, cols) for r in fv)
-        codes, vectors, rows = tables
-        pick = itemgetter(*map(codes.__getitem__, cols))
-        out = []
-        for r in fv:
-            folds = rows.get(r)
-            if folds is None:
-                folds = rows[r] = self.fold_row(r, vectors)
-            out.append(pick(folds))
-        return tuple(out)
+    def __init__(self, n: int, ops: dict[str, tuple[tuple, tuple]]) -> None:
+        super().__init__()
+        self.n, self.ops = n, ops  # op -> (product table, fold table)
+
+    def __missing__(self, width: int) -> tuple[dict, dict[str, tuple]]:
+        n = self.n
+        if width == 1:
+            tables = {op: prod for op, (prod, _) in self.ops.items()}
+        else:
+            prev = self[width - 1][1]
+            tables = {op: tuple(tuple(fold[prev[op][u // n][v // n]][prod[u % n][v % n]]
+                                      for v in range(n ** width))
+                                for u in range(n ** width))
+                      for op, (prod, fold) in self.ops.items()}
+        vectors = product(range(n), repeat=width)
+        self[width] = entry = {v: i for i, v in enumerate(vectors)}, tables
+        return entry
 
 
 class CarrierOrder:
     """Plumbing shared by the ambient structures: the order operations
-    read ``self.carrier``; the fold kernels serve relation composition."""
+    read ``self.carrier``; ``index_tables`` serves relation calculus."""
 
     @cached_property
-    def tensor_fold(self) -> FoldKernel | None:
-        """Join of tensor products, or None for ZInt backends."""
-        tm, jm = self.tensor_map, self.join_map
-        return None if tm is None or jm is None else FoldKernel(tm, jm, self.bottom)
+    def index_tables(self) -> IndexTables | None:
+        """The carrier's operations on element indices, built on first
+        use, or None for ZInt backends."""
+        if not self.carrier.is_finite:
+            return None
+        lattice = self.carrier.lattice
+        els, index = lattice.elements, lattice._index
 
-    @cached_property
-    def par_fold(self) -> FoldKernel | None:
-        """Meet of par products, or None without a finite par table."""
-        pm, mm = getattr(self, "par_map", None), self.meet_map
-        return None if pm is None or mm is None else FoldKernel(pm, mm, self.top)
+        def code(mul: Callable[[Elem, Elem], Elem]) -> tuple[tuple[int, ...], ...]:
+            return tuple(tuple(index[mul(a, b)] for b in els) for a in els)
+
+        # a one-element carrier stops at the width of a two-element one
+        width = 1
+        while len(els) ** (width + 1) <= _BLOCK_VECTORS and 2 ** width < _BLOCK_VECTORS:
+            width += 1
+        tensor = code(self.mul)
+        par = code(self.par_mul) if self.has_par else None
+        ops = {"tensor": (tensor, lattice.join_table)}
+        if par is not None:
+            ops["par"] = (par, lattice.meet_table)
+        return IndexTables(
+            els, index, tensor, par,
+            lattice.join_table, lattice.meet_table, lattice.leq_matrix,
+            index[lattice.bottom], index[lattice.top], width,
+            _Blocks(len(els), ops))
 
     def _pair_map(self, op: Callable[[Elem, Elem], Elem]) -> dict | None:
         """Nested name-to-name table of ``op``, or None for ZInt carriers."""

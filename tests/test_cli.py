@@ -110,6 +110,25 @@ def test_compose_refuses_unhashable_table_entry(files, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("values", ["01", ["1", "0"]])
+def test_compose_refuses_string_values_or_rows(files, capsys, values):
+    # a JSON string is no list of rows, nor a row: "01" must not be read
+    # as the rows ["0"], ["1"], nor the row "1" as ["1"]
+    f = files["dir"] / "string_values.json"
+    f.write_text(json.dumps({"source": {"name": "A", "members": ["a1", "a2"]},
+                             "target": {"name": "B", "members": ["b"]},
+                             "values": values}))
+    g = files["dir"] / "g2.json"
+    g.write_text(json.dumps({"source": {"name": "B", "members": ["b"]},
+                             "target": {"name": "C", "members": ["c"]},
+                             "values": [["1"]]}))
+    assert main(["compose", "--op", "tensor", "--quantale", files["bool"],
+                 str(f), str(g)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_dual_command(files, capsys):
     assert main(["dual", "--quantale", files["trop"], files["r"]]) == 0
     blob = json.loads(capsys.readouterr().out)

@@ -1,18 +1,38 @@
-"""Finite-carrier compositions agree with the element-level fold.
+"""Finite relations on element indices agree with the element-level calculus.
 
-``FoldKernel`` tabulates middle sets short enough for the carrier's
-vectors of that length to fit ``FOLD_VECTORS`` and folds longer ones
-entry by entry; both ways must give, entry for entry, the join of tensor
-products and the meet of par products computed from the ambient's
-element operations.  Middle sets of 0 to 8 members reach both ways on
-every finite catalog entry.
+A relation over a finite carrier is stored as the element indices of its
+entries, and compositions, pointwise joins and meets, the order, the
+identities and the extreme cells all run on the ambient's
+``IndexTables``.  Compositions fold the middle set in blocks of the
+table width, so middle sets of 0 to 8 members reach one block and several
+on every finite catalog entry.  Each operation must give, entry for entry,
+what the ambient's element operations give on the decoded names.
 """
 
 import random
+from itertools import product
 
 import pytest
 
-from linrel.qrel import compose_par, compose_tensor, finite_set, random_relation
+from linrel.errors import NoParStructureError
+from linrel.qrel import (
+    QREL_CALCULUS,
+    compose_par,
+    compose_tensor,
+    enumerate_relations,
+    finite_set,
+    id_bot,
+    id_top,
+    random_relation,
+    rel_join,
+    rel_leq,
+    rel_meet,
+    relation,
+    top_relation,
+    zero_relation,
+)
+from linrel.quantale import quantale_from_json
+from linrel.quantaloid import one_object_quantaloid
 from linrel.verify import catalog
 
 FINITE = [name for name, e in catalog(10).items() if e.ld.carrier.is_finite]
@@ -22,6 +42,11 @@ def _members(tag, n):
     return finite_set(f"{tag}{n}", tuple(f"{tag}{i}" for i in range(n)))
 
 
+def _ambients(name):
+    entry = catalog(10)[name]
+    return [amb for amb in (entry.ld, entry.girard) if amb is not None]
+
+
 def _reference(f, g, op, agg):
     gv = g.values
     return tuple(tuple(agg([op(row[y], gv[y][z]) for y in range(len(gv))])
@@ -29,18 +54,124 @@ def _reference(f, g, op, agg):
                  for row in f.values)
 
 
+def _entrywise(f, g, op):
+    return tuple(tuple(op(a, b) for a, b in zip(fr, gr))
+                 for fr, gr in zip(f.values, g.values))
+
+
 @pytest.mark.parametrize("name", FINITE)
 def test_compositions_match_element_fold(name):
-    entry = catalog(10)[name]
     rng = random.Random(name)
-    for amb in filter(None, (entry.ld, entry.girard)):
+    for amb in _ambients(name):
         for ny in range(9):
             for _ in range(4):
                 X, Y, Z = (_members("x", rng.randint(0, 4)), _members("y", ny),
                            _members("z", rng.randint(0, 4)))
                 f = random_relation(rng, amb, X, Y, 10, 0.0)
                 g = random_relation(rng, amb, Y, Z, 10, 0.0)
-                assert compose_tensor(f, g).values == \
-                    _reference(f, g, amb.tensor, amb.join)
-                assert compose_par(f, g).values == \
-                    _reference(f, g, amb.par, amb.meet)
+                # twice: the second time both operands reuse their numbering
+                for _ in range(2):
+                    assert compose_tensor(f, g).values == \
+                        _reference(f, g, amb.tensor, amb.join)
+                    assert compose_par(f, g).values == \
+                        _reference(f, g, amb.par, amb.meet)
+
+
+def test_middle_sets_reach_several_blocks():
+    # the widths are what make the test above cover blocks after the first
+    widths = {name: [amb.index_tables.width for amb in _ambients(name)]
+              for name in FINITE}
+    assert all(w < 8 for ws in widths.values() for w in ws)
+    assert min(w for ws in widths.values() for w in ws) == 2
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_operands_in_both_roles(name):
+    # an endo-relation composed with itself, and a left operand that later
+    # becomes a right one, read each numbering in its own role
+    rng = random.Random(f"roles-{name}")
+    for amb in _ambients(name):
+        for n in range(1, 8):
+            X = _members("x", n)
+            r = random_relation(rng, amb, X, X)
+            s = random_relation(rng, amb, X, X)
+            assert compose_tensor(r, r).values == _reference(r, r, amb.tensor, amb.join)
+            assert compose_par(r, s).values == _reference(r, s, amb.par, amb.meet)
+            assert compose_par(s, r).values == _reference(s, r, amb.par, amb.meet)
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_pointwise_order_and_constant_cells(name):
+    rng = random.Random(f"cells-{name}")
+    for amb in _ambients(name):
+        join = lambda a, b: amb.join((a, b))
+        meet = lambda a, b: amb.meet((a, b))
+        for nx, ny in product(range(4), repeat=2):
+            X, Y = _members("x", nx), _members("y", ny)
+            for _ in range(6):
+                f = random_relation(rng, amb, X, Y)
+                g = random_relation(rng, amb, X, Y)
+                assert rel_join(f, g).values == _entrywise(f, g, join)
+                assert rel_meet(f, g).values == _entrywise(f, g, meet)
+                want = all(amb.leq(a, b) for row in _entrywise(f, g, lambda a, b: (a, b))
+                           for a, b in row)
+                assert rel_leq(f, g) is want
+                assert rel_leq(f, rel_join(f, g))
+                assert QREL_CALCULUS.eq(f, g) is (f.values == g.values)
+            assert zero_relation(X, Y, amb).values == ((amb.bottom,) * ny,) * nx
+            assert top_relation(X, Y, amb).values == ((amb.top,) * ny,) * nx
+            diagonal = lambda on, off: tuple(tuple(on if i == j else off
+                                                   for j in range(nx))
+                                             for i in range(nx))
+            assert id_top(X, amb).values == diagonal(amb.unit, amb.bottom)
+            assert id_bot(X, amb).values == diagonal(amb.par_unit, amb.top)
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_values_round_trip_and_tables(name):
+    for amb in _ambients(name):
+        t = amb.index_tables
+        coded = one_object_quantaloid(amb).coded
+        assert t.tensor == coded.tensor[("*", "*", "*")]
+        assert t.par == coded.par[("*", "*", "*")]
+        lattice = amb.carrier.lattice
+        assert (t.join, t.meet, t.leq) == (lattice.join_table, lattice.meet_table,
+                                           lattice.leq_matrix)
+        X, Y = _members("x", 2), _members("y", 2)
+        els = lattice.elements
+        rels = list(enumerate_relations(amb, X, Y))
+        # declaration order, row-major
+        assert [r.values for r in rels] == [
+            (flat[:2], flat[2:]) for flat in product(els, repeat=4)]
+        for r in rels:
+            again = relation(X, Y, amb, [list(row) for row in r.values])
+            assert again.codes == r.codes and again.values == r.values
+            assert again == r and hash(again) == hash(r)
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_random_relation_draws_like_element_choice(name):
+    for amb in _ambients(name):
+        els = amb.carrier.lattice.elements
+        X, Y = _members("x", 3), _members("y", 2)
+        got = random_relation(random.Random(5), amb, X, Y).values
+        rng = random.Random(5)
+        assert got == tuple(tuple(rng.choice(els) for _ in range(2)) for _ in range(3))
+
+
+def test_tensor_only_quantale_from_file():
+    # the ``compose --op tensor`` path on a file without par or dualizer
+    loaded = quantale_from_json({
+        "kind": "table", "elements": ["0", "m", "1"],
+        "covers": [["0", "m"], ["m", "1"]],
+        "tensor": [["0", "0", "0"], ["0", "m", "m"], ["0", "m", "1"]],
+        "unit": "1"})
+    amb = loaded.ambient()
+    assert amb is loaded.quantale and amb.index_tables.par is None
+    rng = random.Random(3)
+    for ny in range(9):
+        X, Y, Z = _members("x", 3), _members("y", ny), _members("z", 2)
+        f, g = random_relation(rng, amb, X, Y), random_relation(rng, amb, Y, Z)
+        assert compose_tensor(f, g).values == _reference(f, g, amb.tensor, amb.join)
+    with pytest.raises(NoParStructureError):
+        compose_par(f, g)
