@@ -136,12 +136,9 @@ def cmd_find_dualizer(args) -> int:
 
 def cmd_compose(args) -> int:
     loaded = quantale_from_json(_read_json(args.quantale), args.window)
-    if args.op == "par":
-        amb = loaded.ld if loaded.ld is not None else loaded.girard
-        if amb is None:
-            raise StructureError("par composition needs a par structure")
-    else:
-        amb = loaded.ambient()
+    if args.op == "par" and loaded.ld is None:
+        raise StructureError("par composition needs a par structure")
+    amb = loaded.ambient()
     f = relation_from_json(_read_json(args.left), amb)
     g = relation_from_json(_read_json(args.right), amb)
     return _write_relation(
@@ -178,11 +175,10 @@ def cmd_check_girard_qrel(args) -> int:
 
 
 def cmd_verify_qrel(args) -> int:
-    name, ld, girard = _structure_for_entry_or_file(args)
-    amb = ld if ld is not None else girard
-    if amb is None:
+    name, ld, _ = _structure_for_entry_or_file(args)
+    if ld is None:
         raise StructureError("structure has no par layer")
-    report = verify_qrel_laws(amb, default_sets(args.max_set), _sampler(args),
+    report = verify_qrel_laws(ld, default_sets(args.max_set), _sampler(args),
                               suite=f"qrel-laws[{name}]")
     return _emit(report, args)
 

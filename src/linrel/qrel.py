@@ -29,12 +29,8 @@ from .errors import (
     UnknownElementError,
 )
 from .laws import LAWS, SHAPE_SLOTS, WITNESS_KEYS, Calculus
-from .quantale import MINUS_INF, PLUS_INF, Elem, IndexTables
+from .quantale import MINUS_INF, PLUS_INF, Elem, IndexTables, Quantale
 from .report import LawReport, Sampler, law_entry
-
-# Quantale, GirardQuantale, or LDQuantale; duck-typed on the shared
-# order/multiplication surface.
-Ambient = Any
 
 
 @dataclass(frozen=True)
@@ -77,7 +73,7 @@ class QRelation:
     __slots__ = ("source", "target", "ambient", "codes", "_values",
                  "_row_blocks", "_column_picks")
 
-    def __init__(self, source: FiniteSet, target: FiniteSet, ambient: Ambient,
+    def __init__(self, source: FiniteSet, target: FiniteSet, ambient: Quantale,
                  values: Sequence[Sequence[Elem]]) -> None:
         """Trusts ``values``; :func:`relation` is the validating constructor."""
         self.source, self.target, self.ambient = source, target, ambient
@@ -126,7 +122,7 @@ class QRelation:
 _new = object.__new__
 
 
-def _made(source: FiniteSet, target: FiniteSet, amb: Ambient,
+def _made(source: FiniteSet, target: FiniteSet, amb: Quantale,
           codes: tuple[int, ...] | None, values=None) -> QRelation:
     """A relation from its row-major element indices over a finite
     carrier, or from its rows of elements (``codes`` None) otherwise."""
@@ -142,7 +138,7 @@ def _cells(r: QRelation) -> tuple:
     return r.codes if r.codes is not None else tuple(chain.from_iterable(r.values))
 
 
-def _from_cells(source: FiniteSet, target: FiniteSet, amb: Ambient,
+def _from_cells(source: FiniteSet, target: FiniteSet, amb: Quantale,
                 cells: Sequence) -> QRelation:
     """Inverse of :func:`_cells`."""
     if amb.index_tables is not None:
@@ -151,7 +147,7 @@ def _from_cells(source: FiniteSet, target: FiniteSet, amb: Ambient,
                  _rows(cells, len(source.members), len(target.members)))
 
 
-def relation(source: FiniteSet, target: FiniteSet, ambient: Ambient,
+def relation(source: FiniteSet, target: FiniteSet, ambient: Quantale,
              values: Sequence[Sequence[Elem]]) -> QRelation:
     """Validating constructor; composition results skip the entry scan."""
     if not isinstance(values, (list, tuple)) or \
@@ -162,15 +158,22 @@ def relation(source: FiniteSet, target: FiniteSet, ambient: Ambient,
         raise MismatchError(
             f"values must be {len(source)}x{len(target)} for "
             f"{source.name!r} to {target.name!r}")
-    for row in rows:
-        for v in row:
-            if not ambient.contains(v):
-                ambient.carrier.check(v)
-    return QRelation(source, target, ambient, rows)
+    try:
+        r = QRelation(source, target, ambient, rows)
+    except UnknownElementError:
+        r = None
+    if r is None or r.codes is None:
+        # name the first bad entry; the extended integers have no codes
+        # to refuse one, so each entry is checked
+        check = ambient.carrier.check
+        for row in rows:
+            for v in row:
+                check(v)
+    return r
 
 
-def _require_par(amb: Ambient) -> None:
-    if not getattr(amb, "has_par", False):
+def _require_par(amb: Quantale) -> None:
+    if not amb.has_par:
         raise NoParStructureError("ambient quantale has no par structure")
 
 
@@ -269,7 +272,7 @@ def compose_par(f: QRelation, g: QRelation) -> QRelation:
     return _compose(f, g, "par", t.meet, t.top)
 
 
-def _diagonal(X: FiniteSet, amb: Ambient, on: Elem, off: Elem) -> QRelation:
+def _diagonal(X: FiniteSet, amb: Quantale, on: Elem, off: Elem) -> QRelation:
     """``on`` on the diagonal of X x X, ``off`` elsewhere."""
     t = amb.index_tables
     if t is not None:
@@ -280,29 +283,29 @@ def _diagonal(X: FiniteSet, amb: Ambient, on: Elem, off: Elem) -> QRelation:
     return _from_cells(X, X, amb, cells)
 
 
-def id_top(X: FiniteSet, amb: Ambient) -> QRelation:
+def id_top(X: FiniteSet, amb: Quantale) -> QRelation:
     """Tensor identity: the unit on the diagonal, bottom elsewhere."""
     return _diagonal(X, amb, amb.unit, amb.bottom)
 
 
-def id_bot(X: FiniteSet, amb: Ambient) -> QRelation:
+def id_bot(X: FiniteSet, amb: Quantale) -> QRelation:
     """Par identity: the par unit on the diagonal, top elsewhere."""
     _require_par(amb)
     return _diagonal(X, amb, amb.par_unit, amb.top)
 
 
-def _constant(X: FiniteSet, Y: FiniteSet, amb: Ambient, v: Elem) -> QRelation:
+def _constant(X: FiniteSet, Y: FiniteSet, amb: Quantale, v: Elem) -> QRelation:
     t = amb.index_tables
     if t is not None:
         v = t.index[v]
     return _from_cells(X, Y, amb, (v,) * (len(X.members) * len(Y.members)))
 
 
-def zero_relation(X: FiniteSet, Y: FiniteSet, amb: Ambient) -> QRelation:
+def zero_relation(X: FiniteSet, Y: FiniteSet, amb: Quantale) -> QRelation:
     return _constant(X, Y, amb, amb.bottom)
 
 
-def top_relation(X: FiniteSet, Y: FiniteSet, amb: Ambient) -> QRelation:
+def top_relation(X: FiniteSet, Y: FiniteSet, amb: Quantale) -> QRelation:
     return _constant(X, Y, amb, amb.top)
 
 
@@ -372,10 +375,10 @@ def right_lifting(h: QRelation, f: QRelation) -> QRelation:
     return QRelation(h.source, f.source, amb, vals)
 
 
-def dual_family(X: FiniteSet, amb: Ambient, d: Elem | None = None) -> QRelation:
+def dual_family(X: FiniteSet, amb: Quantale, d: Elem | None = None) -> QRelation:
     """The dualizing endo-relation: d on the diagonal, lattice top off it."""
     if d is None:
-        d = getattr(amb, "dualizer", None)
+        d = amb.dualizer
         if d is None:
             raise NotGirardError("no dualizer available for the dual family")
     return _diagonal(X, amb, amb.carrier.check(d), amb.top)
@@ -385,7 +388,7 @@ def rel_dual(r: QRelation, d: Elem | None = None) -> QRelation:
     """Entrywise residual into the dualizer, transposed."""
     amb = r.ambient
     if d is None:
-        d = getattr(amb, "dualizer", None)
+        d = amb.dualizer
         if d is None:
             raise NotGirardError("relation dual needs a Girard ambient")
     rr, d = amb.res_right, amb.carrier.check(d)
@@ -408,21 +411,21 @@ def check_linear_adjoint(A: QRelation, B: QRelation) -> bool:
 # Enumeration and sampling
 
 
-def enumerate_relations(amb: Ambient, X: FiniteSet, Y: FiniteSet) -> Iterator[QRelation]:
+def enumerate_relations(amb: Quantale, X: FiniteSet, Y: FiniteSet) -> Iterator[QRelation]:
     """All relations X->Y over a finite carrier, in element declaration order."""
     n = len(amb.index_tables.elements)
     for codes in product(range(n), repeat=len(X.members) * len(Y.members)):
         yield _made(X, Y, amb, codes)
 
 
-def count_relations(amb: Ambient, X: FiniteSet, Y: FiniteSet) -> int | None:
+def count_relations(amb: Quantale, X: FiniteSet, Y: FiniteSet) -> int | None:
     """Slot size for finite carriers, None when the carrier is infinite."""
     if not amb.carrier.is_finite:
         return None
     return len(amb.carrier.lattice.elements) ** (len(X) * len(Y))
 
 
-def random_relation(rng, amb: Ambient, X: FiniteSet, Y: FiniteSet,
+def random_relation(rng, amb: Quantale, X: FiniteSet, Y: FiniteSet,
                     window: int = 10, inf_weight: float = 0.125) -> QRelation:
     t = amb.index_tables
     if t is not None:
@@ -442,7 +445,7 @@ def random_relation(rng, amb: Ambient, X: FiniteSet, Y: FiniteSet,
                                         for _ in X.members))
 
 
-def sample_relation_tuples(amb: Ambient, sets: Sequence[FiniteSet],
+def sample_relation_tuples(amb: Quantale, sets: Sequence[FiniteSet],
                            sampler: Sampler, shape: str,
                            ) -> tuple[str, list[tuple[QRelation, ...]]]:
     """Relation tuples laid out by a law shape (see ``SHAPE_SLOTS``).
@@ -595,7 +598,7 @@ def _case_witness(rels: tuple[QRelation, ...]) -> dict:
     return wit
 
 
-def verify_qrel_laws(amb: Ambient, sets: Sequence[FiniteSet], sampler: Sampler,
+def verify_qrel_laws(amb: Quantale, sets: Sequence[FiniteSet], sampler: Sampler,
                      suite: str = "qrel-laws",
                      labels: Sequence[str] | None = None) -> LawReport:
     """Run the linear-quantaloid law suite on sampled relation tuples.
@@ -623,12 +626,12 @@ def verify_qrel_laws(amb: Ambient, sets: Sequence[FiniteSet], sampler: Sampler,
     return LawReport(suite, tuple(entries))
 
 
-def check_girard_qrel(amb: Ambient, sets: Sequence[FiniteSet], sampler: Sampler,
+def check_girard_qrel(amb: Quantale, sets: Sequence[FiniteSet], sampler: Sampler,
                       d: Elem | None = None,
                       suite: str = "girard-qrel") -> LawReport:
     """Cyclicity and double-dual of the diagonal dualizing family."""
     if d is None:
-        d = getattr(amb, "dualizer", None)
+        d = amb.dualizer
         if d is None:
             raise NotGirardError("check needs a dualizer")
     mode, cases = sample_relation_tuples(amb, sets, sampler, "chain1")
@@ -656,7 +659,7 @@ def check_girard_qrel(amb: Ambient, sets: Sequence[FiniteSet], sampler: Sampler,
     return LawReport(suite, tuple(entries))
 
 
-def transfer_quantale_witness(amb: Ambient, label: str, witness: dict) -> tuple[bool, dict]:
+def transfer_quantale_witness(amb: Quantale, label: str, witness: dict) -> tuple[bool, dict]:
     """Replay a quantale-law failure as one-point relations.
 
     Element witnesses carry the law's keys (see ``WITNESS_KEYS``); the
@@ -683,7 +686,7 @@ def relation_to_json(r: QRelation) -> dict:
     }
 
 
-def relation_from_json(obj: dict, amb: Ambient) -> QRelation:
+def relation_from_json(obj: dict, amb: Quantale) -> QRelation:
     try:
         src = finite_set(obj["source"]["name"], obj["source"]["members"])
         tgt = finite_set(obj["target"]["name"], obj["target"]["members"])

@@ -5,7 +5,9 @@ Two backends share one interface: finite multiplication tables over a
 addition on the extended integers.  The max-plus structure lives on the
 usual order; its min-plus companion is represented as a quantale on the
 opposite order rather than a separate backend, so one code path serves
-both views.
+both views.  One :class:`Quantale` type covers the plain, LD and Girard
+structures: an optional par multiplication on the opposite order, and an
+optional dualizer from which that par is derived.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import compress, product, starmap
-from operator import attrgetter, eq, itemgetter, not_
+from operator import eq, itemgetter, not_
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import (
     InputFormatError,
     MonoidError,
+    NoParStructureError,
     NotGirardError,
     StructureError,
     UnknownElementError,
@@ -65,9 +68,6 @@ class FiniteCarrier:
 
     is_finite = True
 
-    def contains(self, v: Elem) -> bool:
-        return v in self.lattice
-
     def check(self, v: Elem) -> Elem:
         if v not in self.lattice:
             raise UnknownElementError(f"unknown element {v!r}")
@@ -104,9 +104,6 @@ class ZIntCarrier:
     reverse: bool = False
 
     is_finite = False
-
-    def contains(self, v: Elem) -> bool:
-        return zint_valid(v)
 
     def check(self, v: Elem) -> Elem:
         if not zint_valid(v):
@@ -243,46 +240,55 @@ class _Blocks(dict):
         return entry
 
 
-class CarrierOrder:
-    """Plumbing shared by the ambient structures: the order operations
-    read ``self.carrier``; ``index_tables`` serves relation calculus."""
+def _kernel(op: TableOp | ZIntOp, by_name: dict | None) -> Callable[[Elem, Elem], Elem]:
+    """The unchecked product of ``op``: its closed form on ZInt, otherwise
+    a lookup in its name table ``by_name``."""
+    if isinstance(op, ZIntOp):
+        return op.apply
+    return lambda a, b: by_name[a][b]
 
-    @cached_property
-    def index_tables(self) -> IndexTables | None:
-        """The carrier's operations on element indices, built on first
-        use, or None for ZInt backends."""
-        if not self.carrier.is_finite:
-            return None
-        lattice = self.carrier.lattice
-        els, index = lattice.elements, lattice._index
 
-        def code(mul: Callable[[Elem, Elem], Elem]) -> tuple[tuple[int, ...], ...]:
-            return tuple(tuple(index[mul(a, b)] for b in els) for a in els)
+def _by_name(carrier, op: TableOp | ZIntOp | None) -> dict | None:
+    """The name-to-name table of ``op``, or None unless it is a table."""
+    if not isinstance(op, TableOp):
+        return None
+    els = carrier.lattice.elements
+    return {a: dict(zip(els, row)) for a, row in zip(els, op.table)}
 
-        # a one-element carrier stops at the width of a two-element one
-        width = 1
-        while len(els) ** (width + 1) <= _BLOCK_VECTORS and 2 ** width < _BLOCK_VECTORS:
-            width += 1
-        tensor = code(self.mul)
-        par = code(self.par_mul) if self.has_par else None
-        ops = {"tensor": (tensor, lattice.join_table)}
-        if par is not None:
-            ops["par"] = (par, lattice.meet_table)
-        return IndexTables(
-            els, index, tensor, par,
-            lattice.join_table, lattice.meet_table, lattice.leq_matrix,
-            index[lattice.bottom], index[lattice.top], width,
-            _Blocks(len(els), ops))
 
-    def _pair_map(self, op: Callable[[Elem, Elem], Elem]) -> dict | None:
-        """Nested name-to-name table of ``op``, or None for ZInt carriers."""
-        if not self.carrier.is_finite:
-            return None
-        els = self.carrier.lattice.elements
-        return {a: {b: op(a, b) for b in els} for a in els}
+def _lattice_map(carrier, join: bool) -> dict | None:
+    """The lattice's binary join (or meet) by name, or None on ZInt carriers."""
+    if not carrier.is_finite:
+        return None
+    lattice = carrier.lattice
+    els, rows = lattice.elements, lattice.join_table if join else lattice.meet_table
+    return {a: {b: els[k] for b, k in zip(els, row)} for a, row in zip(els, rows)}
 
-    def contains(self, v: Elem) -> bool:
-        return self.carrier.contains(v)
+
+@dataclass(frozen=True)
+class Quantale:
+    """A carrier with an associative, join-preserving multiplication.
+
+    An LD-quantale adds ``par_op``, a second multiplication on the opposite
+    order with unit ``par_unit``, so its joins are the original meets and
+    both multiplications are checked by the same quantale-law code, each
+    against its own orientation.  A Girard quantale is the LD-quantale
+    whose par is derived from the cyclic dualizing element ``dualizer``
+    (see :func:`girard_quantale`).
+    """
+
+    carrier: FiniteCarrier | ZIntCarrier
+    op: TableOp | ZIntOp
+    unit: Elem
+    par_op: TableOp | ZIntOp | None = None
+    par_unit: Elem = None
+    dualizer: Elem = None
+
+    @property
+    def has_par(self) -> bool:
+        return self.par_op is not None
+
+    # -- order, from the carrier -----------------------------------------
 
     def leq(self, a: Elem, b: Elem) -> bool:
         return self.carrier.leq(a, b)
@@ -304,26 +310,22 @@ class CarrierOrder:
     def sample_elements(self, window: int = 10) -> list[Elem]:
         return self.carrier.sample_elements(window)
 
-
-@dataclass(frozen=True)
-class Quantale(CarrierOrder):
-    """A carrier with an associative, join-preserving multiplication."""
-
-    carrier: FiniteCarrier | ZIntCarrier
-    op: TableOp | ZIntOp
-    unit: Elem
-
-    has_par = False
-
-    # -- multiplication and residuals ------------------------------------
-    # ``tensor`` and the residuals validate their arguments; the kernels
-    # ``mul``, ``res_right`` and ``res_left`` trust them, for callers that
-    # validated their elements once at the boundary.  Finite residuals
-    # still scan the carrier, checked, until they get tables of their own.
+    # -- multiplications and residuals -----------------------------------
+    # ``tensor``, ``par`` and the residuals validate their arguments; the
+    # kernels ``mul``, ``par_mul``, ``res_right`` and ``res_left`` trust
+    # them, for callers that validated their elements once at the boundary.
+    # Finite residuals still scan the carrier, checked, until they get
+    # tables of their own.
 
     def tensor(self, a: Elem, b: Elem) -> Elem:
         check = self.carrier.check
         return self.mul(check(a), check(b))
+
+    def par(self, a: Elem, b: Elem) -> Elem:
+        if self.par_op is None:
+            raise NoParStructureError("quantale has no par structure")
+        check = self.carrier.check
+        return self.par_mul(check(a), check(b))
 
     def residual_right(self, a: Elem, b: Elem) -> Elem:
         """The largest c with a (x) c <= b."""
@@ -346,12 +348,20 @@ class Quantale(CarrierOrder):
         return self.join(c for c in self.carrier.sample_elements()
                          if self.leq(tm[c][a], b))
 
+    def neg(self, a: Elem) -> Elem:
+        """Linear negation: the residual of the dualizer."""
+        if self.dualizer is None:
+            raise NotGirardError("negation needs a dualizer")
+        return self.residual_right(a, self.dualizer)
+
     @cached_property
     def mul(self) -> Callable[[Elem, Elem], Elem]:
-        if isinstance(self.op, ZIntOp):
-            return self.op.apply
-        tm = self.tensor_map
-        return lambda a, b: tm[a][b]
+        return _kernel(self.op, self.tensor_map)
+
+    @cached_property
+    def par_mul(self) -> Callable[[Elem, Elem], Elem] | None:
+        """The par kernel, or None without a par."""
+        return None if self.par_op is None else _kernel(self.par_op, self.par_map)
 
     # Plain properties: caching a bound method of self on self would make
     # a reference cycle.
@@ -381,41 +391,80 @@ class Quantale(CarrierOrder):
         return refuse
 
     # -- lookup tables for hot composition loops -------------------------
+    # Nested name-to-name tables, or None for ZInt backends.
 
     @cached_property
     def tensor_map(self) -> dict | None:
-        """Nested name-to-name product table, or None for ZInt backends."""
-        if not isinstance(self.op, TableOp):
-            return None
-        els = self.carrier.lattice.elements
-        return {
-            a: {b: self.op.table[i][j] for j, b in enumerate(els)}
-            for i, a in enumerate(els)
-        }
+        return _by_name(self.carrier, self.op)
+
+    @cached_property
+    def par_map(self) -> dict | None:
+        return _by_name(self.carrier, self.par_op)
 
     @cached_property
     def join_map(self) -> dict | None:
-        return self._pair_map(lambda a, b: self.join((a, b)))
+        return _lattice_map(self.carrier, True)
 
     @cached_property
     def meet_map(self) -> dict | None:
-        return self._pair_map(lambda a, b: self.meet((a, b)))
+        return _lattice_map(self.carrier, False)
+
+    @cached_property
+    def index_tables(self) -> IndexTables | None:
+        """The carrier's operations on element indices, built on first
+        use, or None for ZInt backends."""
+        if not self.carrier.is_finite:
+            return None
+        lattice = self.carrier.lattice
+        els, index = lattice.elements, lattice._index
+
+        def code(mul: Callable[[Elem, Elem], Elem]) -> tuple[tuple[int, ...], ...]:
+            return tuple(tuple(index[mul(a, b)] for b in els) for a in els)
+
+        # a one-element carrier stops at the width of a two-element one
+        width = 1
+        while len(els) ** (width + 1) <= _BLOCK_VECTORS and 2 ** width < _BLOCK_VECTORS:
+            width += 1
+        tensor = code(self.mul)
+        par = code(self.par_mul) if self.has_par else None
+        ops = {"tensor": (tensor, lattice.join_table)}
+        if par is not None:
+            ops["par"] = (par, lattice.meet_table)
+        return IndexTables(
+            els, index, tensor, par,
+            lattice.join_table, lattice.meet_table, lattice.leq_matrix,
+            index[lattice.bottom], index[lattice.top], width,
+            _Blocks(len(els), ops))
+
+
+def _table_op(lattice: FiniteLattice, table: Sequence[Sequence[str]],
+              name: str = "tensor") -> TableOp:
+    """Validate a square table of elements over ``lattice``."""
+    if not isinstance(table, (list, tuple)) or \
+            not all(isinstance(row, (list, tuple)) for row in table):
+        raise InputFormatError(f"{name} table must be a list of row lists")
+    n = len(lattice)
+    rows = tuple(tuple(row) for row in table)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise InputFormatError(f"{name} table must be square over the elements")
+    for row in rows:
+        for v in row:
+            if v not in lattice:
+                raise UnknownElementError(f"table entry {v!r} is not an element")
+    return TableOp(rows)
+
+
+def _check_unit(lattice: FiniteLattice, unit: str) -> str:
+    if unit not in lattice:
+        raise UnknownElementError(f"unit {unit!r} is not an element")
+    return unit
 
 
 def table_quantale(lattice: FiniteLattice, table: Sequence[Sequence[str]],
                    unit: str) -> Quantale:
     """Validate shapes and element membership, then wrap the table."""
-    n = len(lattice)
-    rows = tuple(tuple(row) for row in table)
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise InputFormatError("tensor table must be square over the elements")
-    for row in rows:
-        for v in row:
-            if v not in lattice:
-                raise UnknownElementError(f"table entry {v!r} is not an element")
-    if unit not in lattice:
-        raise UnknownElementError(f"unit {unit!r} is not an element")
-    return Quantale(carrier=FiniteCarrier(lattice), op=TableOp(rows), unit=unit)
+    return Quantale(carrier=FiniteCarrier(lattice), op=_table_op(lattice, table),
+                    unit=_check_unit(lattice, unit))
 
 
 def tropical_quantale() -> Quantale:
@@ -428,54 +477,17 @@ def arctic_quantale() -> Quantale:
     return Quantale(carrier=ZIntCarrier(True), op=ZIntOp(PLUS_INF, 0), unit=0)
 
 
+def opposite_quantale(q: Quantale) -> Quantale:
+    """Swap tensor with par and reverse the order; an involution on
+    LD-quantales.  The result carries no dualizer."""
+    if q.par_op is None:
+        raise NoParStructureError("the opposite quantale needs a par structure")
+    return Quantale(carrier=q.carrier.opposite(), op=q.par_op, unit=q.par_unit,
+                    par_op=q.op, par_unit=q.unit)
+
+
 # ---------------------------------------------------------------------------
 # Girard structure
-
-
-def _part(path: str) -> cached_property:
-    """Forward an attribute to a part of the structure, read once."""
-    return cached_property(attrgetter(path))
-
-
-@dataclass(frozen=True)
-class GirardQuantale(CarrierOrder):
-    """A quantale with a chosen cyclic dualizing element."""
-
-    base: Quantale
-    dualizer: Elem
-
-    has_par = True
-
-    carrier = _part("base.carrier")
-    unit = _part("base.unit")
-    par_unit = _part("dualizer")
-    tensor = _part("base.tensor")
-    residual_right = _part("base.residual_right")
-    residual_left = _part("base.residual_left")
-    mul = _part("base.mul")
-    res_right = _part("base.res_right")
-    res_left = _part("base.res_left")
-    tensor_map = _part("base.tensor_map")
-    join_map = _part("base.join_map")
-    meet_map = _part("base.meet_map")
-
-    def neg(self, a: Elem) -> Elem:
-        """Linear negation: the residual of the dualizer."""
-        return self.base.residual_right(a, self.dualizer)
-
-    def par(self, a: Elem, b: Elem) -> Elem:
-        """De Morgan dual multiplication: neg(neg(b) (x) neg(a))."""
-        check = self.carrier.check
-        return self.par_mul(check(a), check(b))
-
-    @cached_property
-    def par_mul(self) -> Callable[[Elem, Elem], Elem]:
-        mul, rr, d = self.base.mul, self.base.res_right, self.dualizer
-        return lambda a, b: rr(mul(rr(b, d), rr(a, d)), d)
-
-    @cached_property
-    def par_map(self) -> dict | None:
-        return self._pair_map(self.par)
 
 
 def _validated(q, sample: Sequence[Elem] | None, window: int = 10) -> list[Elem]:
@@ -506,65 +518,28 @@ def find_dualizers(q: Quantale,
     return tuple(d for d in sample if _dualizes(q, d, sample))
 
 
+def with_dualizer(q: Quantale, d: Elem) -> Quantale:
+    """The Girard quantale on ``q``'s tensor with dualizer ``d``, unchecked
+    (:func:`girard_quantale` checks ``d`` first).  Its par is the De Morgan
+    dual multiplication neg(neg(b) (x) neg(a)), derived once: as a table on
+    a finite carrier, and in closed form on the extended integers, where it
+    is saturating addition shifted by ``d`` with the other infinity
+    dominant."""
+    if q.carrier.is_finite:
+        els, mul, rr = q.carrier.lattice.elements, q.mul, q.res_right
+        neg = {a: rr(a, d) for a in els}
+        par = TableOp(tuple(tuple(neg[mul(neg[b], neg[a])] for b in els)
+                            for a in els))
+    else:
+        par = ZIntOp(PLUS_INF if q.op.dominant == MINUS_INF else MINUS_INF, d)
+    return replace(q, par_op=par, par_unit=d, dualizer=d)
+
+
 def girard_quantale(base: Quantale, dualizer: Elem,
-                    sample: Sequence[Elem] | None = None) -> GirardQuantale:
+                    sample: Sequence[Elem] | None = None) -> Quantale:
     if not is_cyclic_dualizing(base, dualizer, sample):
         raise NotGirardError(f"{dualizer!r} is not a cyclic dualizing element")
-    return GirardQuantale(base=base, dualizer=dualizer)
-
-
-# ---------------------------------------------------------------------------
-# LD structure: two quantales related by linear distributions
-
-
-@dataclass(frozen=True)
-class LDQuantale(CarrierOrder):
-    """A lattice carrying a tensor quantale and a par quantale.
-
-    ``par_part`` lives on the opposite carrier, so its joins are the
-    original meets; both multiplications can then be checked by the same
-    quantale-law code, each against its own orientation.
-    """
-
-    tensor_part: Quantale
-    par_part: Quantale
-
-    has_par = True
-
-    carrier = _part("tensor_part.carrier")
-    unit = _part("tensor_part.unit")
-    par_unit = _part("par_part.unit")
-    tensor = _part("tensor_part.tensor")
-    par = _part("par_part.tensor")
-    residual_right = _part("tensor_part.residual_right")
-    residual_left = _part("tensor_part.residual_left")
-    mul = _part("tensor_part.mul")
-    par_mul = _part("par_part.mul")
-    res_right = _part("tensor_part.res_right")
-    res_left = _part("tensor_part.res_left")
-    tensor_map = _part("tensor_part.tensor_map")
-    par_map = _part("par_part.tensor_map")
-    join_map = _part("tensor_part.join_map")
-    meet_map = _part("tensor_part.meet_map")
-
-
-def girard_to_ld(g: GirardQuantale) -> LDQuantale:
-    """Package a Girard quantale as tensor plus derived par."""
-    if g.carrier.is_finite:
-        els = g.carrier.lattice.elements
-        table = tuple(tuple(g.par(a, b) for b in els) for a in els)
-        par_q = Quantale(carrier=g.carrier.opposite(), op=TableOp(table),
-                         unit=g.dualizer)
-    else:
-        dom = PLUS_INF if g.base.op.dominant == MINUS_INF else MINUS_INF
-        par_q = Quantale(carrier=g.carrier.opposite(),
-                         op=ZIntOp(dom, g.dualizer), unit=g.dualizer)
-    return LDQuantale(tensor_part=g.base, par_part=par_q)
-
-
-def opposite_quantale(ld: LDQuantale) -> LDQuantale:
-    """Swap tensor with par and reverse the order; an involution."""
-    return LDQuantale(tensor_part=ld.par_part, par_part=ld.tensor_part)
+    return with_dualizer(base, dualizer)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +550,7 @@ def _const(v: Elem) -> Callable[..., Elem]:
     return lambda *_: v
 
 
-def scalar_calculus(amb) -> Calculus:
+def scalar_calculus(amb: Quantale) -> Calculus:
     """Elements as the 1-cells of the one-object bicategory of ``amb``.
 
     The identities and extreme cells are constants; ``join`` and ``meet``
@@ -592,8 +567,8 @@ def scalar_calculus(amb) -> Calculus:
         join = lambda a, b: jm[a][b]
         meet = lambda a, b: mm[a][b]
     return Calculus(
-        tensor=amb.mul, par=getattr(amb, "par_mul", None),
-        id_top=_const(amb.unit), id_bot=_const(getattr(amb, "par_unit", None)),
+        tensor=amb.mul, par=amb.par_mul,
+        id_top=_const(amb.unit), id_bot=_const(amb.par_unit),
         zero=_const(amb.bottom), top=_const(amb.top),
         join=join, meet=meet, leq=leq, eq=eq,
         source=_const(None), target=_const(None))
@@ -612,7 +587,7 @@ def _first_failure(holds, sample: Sequence[Elem],
     return next(compress(cases(), map(not_, starmap(holds, slots))), None)
 
 
-def _law_report(amb, domain_sample: Sequence[Elem] | None, window: int,
+def _law_report(amb: Quantale, domain_sample: Sequence[Elem] | None, window: int,
                 suite: str, labels: Sequence[str]) -> LawReport:
     """Each law of ``labels`` on the scalar calculus of ``amb``, over the
     validated sample, up to its first failing case.
@@ -646,7 +621,7 @@ def check_quantale_laws(q: Quantale, domain_sample: Sequence[Elem] | None = None
     return _law_report(q, domain_sample, window, suite, LAW_GROUPS["quantale"])
 
 
-def check_ld_laws(ld: LDQuantale, domain_sample: Sequence[Elem] | None = None,
+def check_ld_laws(ld: Quantale, domain_sample: Sequence[Elem] | None = None,
                   suite: str = "ld-laws", window: int = 10) -> LawReport:
     """Both quantale structures plus the two linear distributions."""
     return _law_report(ld, domain_sample, window, suite,
@@ -667,7 +642,7 @@ def _fresh_name(base: str, taken: Iterable[str]) -> str:
 
 
 def shift_completion(elements: Sequence[str], add_table: Sequence[Sequence[str]],
-                     shift: str) -> LDQuantale:
+                     shift: str) -> Quantale:
     """Complete a cancellative commutative monoid to a two-multiplication
     quantale on the discrete order with adjoined bottom and top.
 
@@ -742,11 +717,8 @@ def shift_completion(elements: Sequence[str], add_table: Sequence[Sequence[str]]
                     for a in carrier_names)
     p_table = tuple(tuple(second_mult(a, b) for b in carrier_names)
                     for a in carrier_names)
-    tensor_q = Quantale(carrier=FiniteCarrier(lattice), op=TableOp(t_table),
-                        unit=names[unit_idx])
-    par_q = Quantale(carrier=FiniteCarrier(lattice.opposite()),
-                     op=TableOp(p_table), unit=shift)
-    return LDQuantale(tensor_part=tensor_q, par_part=par_q)
+    return Quantale(carrier=FiniteCarrier(lattice), op=TableOp(t_table),
+                    unit=names[unit_idx], par_op=TableOp(p_table), par_unit=shift)
 
 
 def cyclic_group_table(n: int, prefix: str = "g") -> tuple[list[str], list[list[str]]]:
@@ -763,17 +735,16 @@ def cyclic_group_table(n: int, prefix: str = "g") -> tuple[list[str], list[list[
 @dataclass(frozen=True)
 class LoadedQuantale:
     """Everything a quantale file can describe: the tensor quantale,
-    an LD pairing when a par is available, and a validated Girard
-    structure when a dualizer is available."""
+    an LD-quantale when a par is available, and a validated Girard
+    quantale when a dualizer is available.  ``ld`` carries no dualizer;
+    without a par block it has the Girard quantale's derived par."""
 
     quantale: Quantale
-    ld: LDQuantale | None
-    girard: GirardQuantale | None
+    ld: Quantale | None
+    girard: Quantale | None
 
-    def ambient(self):
+    def ambient(self) -> Quantale:
         """Richest structure available, for relation-level operations."""
-        if self.girard is not None and self.ld is None:
-            return self.girard
         return self.ld if self.ld is not None else self.quantale
 
 
@@ -793,18 +764,18 @@ def _table_from_json(obj: dict) -> LoadedQuantale:
     lattice = build_lattice(obj["elements"], obj["covers"])
     q = table_quantale(lattice, obj["tensor"], obj["unit"])
     ld = None
-    if "par" in obj and obj["par"] is not None:
-        par_obj = obj["par"]
-        if "table" not in par_obj or "unit" not in par_obj:
+    par_obj = obj.get("par")
+    if par_obj is not None:
+        if not isinstance(par_obj, dict) or "table" not in par_obj \
+                or "unit" not in par_obj:
             raise InputFormatError("par block needs 'table' and 'unit'")
-        par_q = table_quantale(lattice.opposite(), par_obj["table"],
-                               par_obj["unit"])
-        ld = LDQuantale(tensor_part=q, par_part=par_q)
+        ld = replace(q, par_op=_table_op(lattice, par_obj["table"], "par"),
+                     par_unit=_check_unit(lattice, par_obj["unit"]))
     girard = None
-    if "dualizer" in obj and obj["dualizer"] is not None:
+    if obj.get("dualizer") is not None:
         girard = girard_quantale(q, obj["dualizer"])
         if ld is None:
-            ld = girard_to_ld(girard)
+            ld = replace(girard, dualizer=None)
     return LoadedQuantale(quantale=q, ld=ld, girard=girard)
 
 
@@ -820,4 +791,5 @@ def _zinf_from_json(obj: dict, window: int) -> LoadedQuantale:
     if not isinstance(d, int) or isinstance(d, bool):
         raise InputFormatError("zinf dualizer must be an integer")
     girard = girard_quantale(q, d, q.sample_elements(window))
-    return LoadedQuantale(quantale=q, ld=girard_to_ld(girard), girard=girard)
+    return LoadedQuantale(quantale=q, ld=replace(girard, dualizer=None),
+                          girard=girard)

@@ -23,12 +23,7 @@ from .errors import (
     SearchSpaceError,
 )
 from .lattice import FiniteLattice, build_lattice, lattice_from_leq
-from .quantale import (
-    FiniteCarrier,
-    LDQuantale,
-    Quantale,
-    TableOp,
-)
+from .quantale import FiniteCarrier, Quantale, TableOp
 from .report import LawReport, law_entry
 
 Obj = str
@@ -202,9 +197,9 @@ def finite_quantaloid(objects: Sequence[Obj],
                             units_top=u_top, par_tables=p_tables, units_bot=u_bot)
 
 
-def one_object_quantaloid(amb, obj: Obj = "*") -> FiniteQuantaloid:
-    """View a finite quantale (or LD/Girard structure) as a one-object
-    quantaloid, carrying the par layer across when available."""
+def one_object_quantaloid(amb: Quantale, obj: Obj = "*") -> FiniteQuantaloid:
+    """View a finite quantale as a one-object quantaloid, carrying the par
+    layer across when available."""
     if not amb.carrier.is_finite:
         raise MismatchError("only finite carriers can be materialized")
     lattice = amb.carrier.lattice
@@ -212,7 +207,7 @@ def one_object_quantaloid(amb, obj: Obj = "*") -> FiniteQuantaloid:
     t_table = tuple(tuple(amb.tensor(f, g) for g in els) for f in els)
     par_tables = None
     units_bot = None
-    if getattr(amb, "has_par", False):
+    if amb.has_par:
         par_tables = {(obj, obj, obj): tuple(tuple(amb.par(f, g) for g in els)
                                              for f in els)}
         units_bot = {obj: amb.par_unit}
@@ -226,21 +221,16 @@ def one_object_quantaloid(amb, obj: Obj = "*") -> FiniteQuantaloid:
     )
 
 
-def quantaloid_to_quantale(Q: FiniteQuantaloid):
+def quantaloid_to_quantale(Q: FiniteQuantaloid) -> Quantale:
     """Inverse of the one-object embedding; round trips on tables."""
     if len(Q.objects) != 1:
         raise MismatchError("only one-object quantaloids collapse to quantales")
     obj = Q.objects[0]
-    lattice = Q.hom(obj, obj)
-    tensor = Quantale(carrier=FiniteCarrier(lattice),
-                      op=TableOp(Q.tensor_tables[(obj, obj, obj)]),
-                      unit=Q.unit_top(obj))
-    if not Q.has_par:
-        return tensor
-    par = Quantale(carrier=FiniteCarrier(lattice.opposite()),
-                   op=TableOp(Q.par_tables[(obj, obj, obj)]),
-                   unit=Q.unit_bot(obj))
-    return LDQuantale(tensor_part=tensor, par_part=par)
+    trip = (obj, obj, obj)
+    return Quantale(carrier=FiniteCarrier(Q.hom(obj, obj)),
+                    op=TableOp(Q.tensor_tables[trip]), unit=Q.unit_top(obj),
+                    par_op=TableOp(Q.par_tables[trip]) if Q.has_par else None,
+                    par_unit=Q.unit_bot(obj) if Q.has_par else None)
 
 
 # ---------------------------------------------------------------------------

@@ -19,20 +19,17 @@ from .quantale import (
     MINUS_INF,
     PLUS_INF,
     Elem,
-    GirardQuantale,
-    LDQuantale,
     Quantale,
     TableOp,
-    ZIntCarrier,
     ZIntOp,
     check_ld_laws,
     cyclic_group_table,
     find_dualizers,
-    girard_to_ld,
     opposite_quantale,
     shift_completion,
     table_quantale,
     tropical_quantale,
+    with_dualizer,
 )
 from .qmod import (
     _girard_linear_bimodule,
@@ -192,11 +189,11 @@ class CatalogEntry:
     """A built-in structure and its derived classification."""
 
     name: str
-    ld: LDQuantale
+    ld: Quantale
     quantale_ok: bool
     ld_ok: bool
     dualizers: tuple[Elem, ...]
-    girard: GirardQuantale | None
+    girard: Quantale | None
     # The LD-law report the entry was classified with, over
     # ``ld.sample_elements(window)``; evidence, not identity.
     ld_report: LawReport = field(compare=False, repr=False)
@@ -213,7 +210,7 @@ class CatalogEntry:
         return one_object_quantaloid(self.ld)
 
 
-def _classify(name: str, ld: LDQuantale, window: int) -> CatalogEntry:
+def _classify(name: str, ld: Quantale, window: int) -> CatalogEntry:
     sample = ld.sample_elements(window)
     report = check_ld_laws(ld, sample)
     ld_ok = report.ok
@@ -221,44 +218,44 @@ def _classify(name: str, ld: LDQuantale, window: int) -> CatalogEntry:
     dualizers: tuple[Elem, ...] = ()
     girard = None
     if quantale_ok:
-        dualizers = find_dualizers(ld.tensor_part, sample)
+        dualizers = find_dualizers(ld, sample)
         if dualizers:
             pick = ld.par_unit if ld.par_unit in dualizers else dualizers[0]
-            girard = GirardQuantale(base=ld.tensor_part, dualizer=pick)
+            girard = with_dualizer(ld, pick)
     return CatalogEntry(name=name, ld=ld, quantale_ok=quantale_ok,
                         ld_ok=ld_ok, dualizers=dualizers, girard=girard,
                         ld_report=report, window=window)
 
 
-def _frame_ld(lattice) -> LDQuantale:
+def _frame_ld(lattice) -> Quantale:
     els = lattice.elements
     meet_t = tuple(tuple(lattice.meet((a, b)) for b in els) for a in els)
     join_t = tuple(tuple(lattice.join((a, b)) for b in els) for a in els)
-    return LDQuantale(
-        tensor_part=table_quantale(lattice, meet_t, lattice.top),
-        par_part=table_quantale(lattice.opposite(), join_t, lattice.bottom))
+    return replace(table_quantale(lattice, meet_t, lattice.top),
+                   par_op=TableOp(join_t), par_unit=lattice.bottom)
 
 
-def _swap_table(q: Quantale, a: str, b: str, value: str) -> Quantale:
-    lat = q.carrier.lattice
-    rows = [list(r) for r in q.op.table]
-    rows[lat.index(a)][lat.index(b)] = value
-    return Quantale(carrier=q.carrier, op=TableOp(tuple(map(tuple, rows))),
-                    unit=q.unit)
+def _swap_table(op: TableOp, lattice, a: str, b: str, value: str) -> TableOp:
+    rows = [list(r) for r in op.table]
+    rows[lattice.index(a)][lattice.index(b)] = value
+    return TableOp(tuple(map(tuple, rows)))
 
 
-def _broken(good: str, part: str, a: str, b: str, value: str):
-    """Builder for entry ``good`` with entry (a, b) of its ``part`` table
-    set to ``value``."""
+def _broken(good: str, a: str, b: str, value: str, par: bool = False):
+    """Builder for entry ``good`` with entry (a, b) of its tensor (or par)
+    table set to ``value``."""
     def build(base):
         ld = base(good)
-        return replace(ld, **{part: _swap_table(getattr(ld, part), a, b, value)})
+        lattice = ld.carrier.lattice
+        if par:
+            return replace(ld, par_op=_swap_table(ld.par_op, lattice, a, b, value))
+        return replace(ld, op=_swap_table(ld.op, lattice, a, b, value))
     return build
 
 
 # One builder per entry, in catalog order.  ``base`` returns the structure
 # of an earlier entry, so each entry can be built on its own.
-_BUILDERS: dict[str, Callable[[Callable[[str], LDQuantale]], LDQuantale]] = {
+_BUILDERS: dict[str, Callable[[Callable[[str], Quantale]], Quantale]] = {
     "point": lambda base: _frame_ld(build_lattice(["p"], [])),
     "bool": lambda base: _frame_ld(chain(["0", "1"])),
     "chain3": lambda base: _frame_ld(chain(["0", "m", "1"])),
@@ -268,19 +265,17 @@ _BUILDERS: dict[str, Callable[[Callable[[str], LDQuantale]], LDQuantale]] = {
     "z2shift": lambda base: shift_completion(
         ["e", "a"], [["e", "a"], ["a", "e"]], "a"),
     "z3shift": lambda base: shift_completion(*cyclic_group_table(3), "g1"),
-    "zinf-tropical": lambda base: girard_to_ld(
-        GirardQuantale(base=tropical_quantale(), dualizer=0)),
+    "zinf-tropical": lambda base: replace(
+        with_dualizer(tropical_quantale(), 0), dualizer=None),
     "zinf-arctic": lambda base: opposite_quantale(base("zinf-tropical")),
     # Broken variants: one law perturbed each.
-    "bool-broken": _broken("bool", "tensor_part", "1", "1", "0"),
-    "chain3-broken": _broken("chain3", "par_part", "0", "m", "1"),
-    "diamond-broken": _broken("diamond", "tensor_part", "x", "y", "1"),
-    "z2shift-broken": _broken("z2shift", "par_part", "e", "e", "e"),
-    "z3shift-broken": _broken("z3shift", "tensor_part", "e", "g1", "e"),
-    "zinf-broken": lambda base: LDQuantale(
-        tensor_part=base("zinf-tropical").tensor_part,
-        par_part=Quantale(carrier=ZIntCarrier(True),
-                          op=ZIntOp(MINUS_INF, 0), unit=0)),
+    "bool-broken": _broken("bool", "1", "1", "0"),
+    "chain3-broken": _broken("chain3", "0", "m", "1", par=True),
+    "diamond-broken": _broken("diamond", "x", "y", "1"),
+    "z2shift-broken": _broken("z2shift", "e", "e", "e", par=True),
+    "z3shift-broken": _broken("z3shift", "e", "g1", "e"),
+    "zinf-broken": lambda base: replace(base("zinf-tropical"),
+                                        par_op=ZIntOp(MINUS_INF, 0)),
 }
 
 
@@ -289,9 +284,9 @@ class _Structures:
     cached closure would refer to itself, a cycle left by every build."""
 
     def __init__(self) -> None:
-        self.built: dict[str, LDQuantale] = {}
+        self.built: dict[str, Quantale] = {}
 
-    def __call__(self, name: str) -> LDQuantale:
+    def __call__(self, name: str) -> Quantale:
         if name not in self.built:
             self.built[name] = _BUILDERS[name](self)
         return self.built[name]
@@ -301,7 +296,7 @@ _structure = _Structures()
 
 
 def build_catalog(window: int = 10, names: Sequence[str] | None = None,
-                  structure: Callable[[str], LDQuantale] | None = None,
+                  structure: Callable[[str], Quantale] | None = None,
                   ) -> dict[str, CatalogEntry]:
     """Construct the built-in structures and derive their classification.
 
@@ -425,7 +420,7 @@ def _thm_girard_qrel(entry: CatalogEntry, sampler: Sampler,
     else:
         # every candidate fails in the quantale; transfer the first failure
         # through a one-point relation
-        q = entry.ld.tensor_part
+        q = entry.ld
         reproduced = True
         transfer_wit = None
         for d in sample:
@@ -497,7 +492,7 @@ def _thm_girard_qmod(entry: CatalogEntry, sampler: Sampler,
             None if back.ok and restricted == family else
             {"restricted": restricted}, mode))
     else:
-        q = entry.ld.tensor_part
+        q = entry.ld
         sample = q.sample_elements(sampler.window)
         reproduced = True
         wit = None

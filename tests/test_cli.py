@@ -304,17 +304,23 @@ def test_smallest_arguments_accepted(files, capsys):
     ("check-quantale", lambda blob: blob.update(elements="01")),
     ("check-quantale", lambda blob: blob.update(elements=2)),
     ("verify-monq", lambda blob: blob["homs"]["*->*"].update(elements="01")),
-], ids=["quantale-string", "quantale-number", "quantaloid-string"])
+    ("find-dualizer", lambda blob: blob.update(tensor=["00", "01"])),
+    ("find-dualizer", lambda blob: blob.update(tensor="0001")),
+    ("check-ld", lambda blob: blob.update(par={"table": ["01", "11"], "unit": "0"})),
+], ids=["quantale-string", "quantale-number", "quantaloid-string",
+        "tensor-rows-string", "tensor-table-string", "par-rows-string"])
 def test_element_list_as_string_exit_two(command, damage, files, tmp_path,
                                          capsys):
-    blob = (json.loads(open(files["bool"]).read()) if command == "check-quantale"
-            else _bool_quantaloid_blob())
+    blob = (_bool_quantaloid_blob() if command == "verify-monq"
+            else json.loads(open(files["bool"]).read()))
     damage(blob)
     path = tmp_path / "damaged.json"
     path.write_text(json.dumps(blob))
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "list" in err and "Traceback" not in err
+    if command == "check-ld":
+        assert "par table" in err
 
 
 def test_members_as_string_exit_two(files, tmp_path, capsys):

@@ -40,7 +40,7 @@ EXPECTED = {
 def entry_bytes(name: str):
     entry = catalog_entry(name)
     ld = entry.ld
-    reports = [check_quantale_laws(ld.tensor_part),
+    reports = [check_quantale_laws(ld),
                check_ld_laws(ld),
                check_ld_laws(ld, ld.sample_elements(4))]
     reports += [run_theorem(thm, entry, Sampler.random(seed=seed, count=12))

@@ -1,6 +1,7 @@
 """Relation calculus: compositions against independent oracles, identities,
 residual relations, dualization, and adjunction facts."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -11,7 +12,6 @@ from linrel.quantale import (
     MINUS_INF,
     PLUS_INF,
     girard_quantale,
-    girard_to_ld,
     table_quantale,
     tropical_quantale,
 )
@@ -40,13 +40,17 @@ from linrel.report import Sampler
 from linrel.verify import catalog_entry
 
 
-def bool_girard():
+def bool_quantale():
     two = chain(["0", "1"])
-    return girard_quantale(table_quantale(two, [["0", "0"], ["0", "1"]], "1"), "0")
+    return table_quantale(two, [["0", "0"], ["0", "1"]], "1")
+
+
+def bool_girard():
+    return girard_quantale(bool_quantale(), "0")
 
 
 def bool_ld():
-    return girard_to_ld(bool_girard())
+    return replace(bool_girard(), dualizer=None)
 
 
 def zinf_girard():
@@ -54,7 +58,7 @@ def zinf_girard():
 
 
 def zinf_ld():
-    return girard_to_ld(zinf_girard())
+    return replace(zinf_girard(), dualizer=None)
 
 
 S1 = finite_set("s1", ("p",))
@@ -139,7 +143,7 @@ def test_compose_mismatch_errors():
     g = relation(S1, S2, amb, [["0", "1"]])
     with pytest.raises(MismatchError):
         compose_tensor(f, g)
-    q = bool_girard().base  # plain quantale, no par
+    q = bool_quantale()  # plain quantale, no par
     h = relation(S1, S2, q, [["0", "1"]])
     with pytest.raises(NoParStructureError):
         compose_par(h, relation(S2, S2, q, [["0", "0"], ["0", "0"]]))
@@ -387,7 +391,7 @@ def test_check_girard_qrel_zinf_sampled():
 
 def test_check_girard_qrel_chain3_fails_with_constant_zero_witness():
     entry = catalog_entry("chain3")
-    q = entry.ld.tensor_part
+    q = entry.ld
     rep = check_girard_qrel(q, [S1, S2], Sampler.exhaustive(), d="m")
     assert not rep.ok
     dd = rep.entry("girard-double-dual")

@@ -1,7 +1,8 @@
 """Quantale algebra: multiplication, residuals, Girard duality, LD pairs,
 extended-integer backends, and the shift completion."""
 
-from itertools import product
+from dataclasses import replace
+from itertools import permutations, product
 
 import pytest
 
@@ -10,10 +11,6 @@ from linrel.lattice import build_lattice, chain
 from linrel.quantale import (
     MINUS_INF,
     PLUS_INF,
-    FiniteCarrier,
-    GirardQuantale,
-    LDQuantale,
-    Quantale,
     TableOp,
     arctic_quantale,
     check_ld_laws,
@@ -21,7 +18,6 @@ from linrel.quantale import (
     cyclic_group_table,
     find_dualizers,
     girard_quantale,
-    girard_to_ld,
     is_cyclic_dualizing,
     opposite_quantale,
     quantale_from_json,
@@ -46,8 +42,8 @@ def frame_ld(lat):
     els = lat.elements
     meet_t = [[lat.meet((a, b)) for b in els] for a in els]
     join_t = [[lat.join((a, b)) for b in els] for a in els]
-    return LDQuantale(tensor_part=table_quantale(lat, meet_t, lat.top),
-                      par_part=table_quantale(lat.opposite(), join_t, lat.bottom))
+    return replace(table_quantale(lat, meet_t, lat.top),
+                   par_op=TableOp(tuple(map(tuple, join_t))), par_unit=lat.bottom)
 
 
 def chain3():
@@ -219,7 +215,7 @@ def test_zinf_zero_is_cyclic_dualizing():
     q = tropical_quantale()
     assert is_cyclic_dualizing(q, 0)
     # closed form: neg(a) = -a, an involution
-    g = GirardQuantale(base=q, dualizer=0)
+    g = girard_quantale(q, 0)
     for a in q.sample_elements(8):
         if a == MINUS_INF:
             assert g.neg(a) == PLUS_INF
@@ -242,6 +238,77 @@ def test_boolean_par_is_disjunction():
                 ("1", "0"): "1", ("1", "1"): "1"}
     for (a, b), want in expected.items():
         assert g.par(a, b) == want
+
+
+def brute_neg(q, a, d):
+    """The largest c with a (x) c <= d, scanned off the tensor table and the
+    order matrix, without the library's residuals or lattice joins."""
+    lat = q.carrier.lattice
+    els, leq = lat.elements, lat.leq_matrix
+    idx = {e: i for i, e in enumerate(els)}
+    row = q.op.table[idx[a]]
+    below = [idx[c] for c, prod in zip(els, row) if leq[idx[prod]][idx[d]]]
+    (largest,) = [c for c in below if all(leq[x][c] for x in below)]
+    return els[largest]
+
+
+def assert_par_is_defining_formula(g):
+    """Every entry of the derived par table is neg(neg(b) (x) neg(a))."""
+    els, d = g.carrier.lattice.elements, g.dualizer
+    idx = {e: i for i, e in enumerate(els)}
+    tensor = g.op.table
+    neg = {a: brute_neg(g, a, d) for a in els}
+    for (i, a), (j, b) in product(enumerate(els), repeat=2):
+        want = neg[tensor[idx[neg[b]]][idx[neg[a]]]]
+        assert g.par_op.table[i][j] == g.par(a, b) == want, (a, b)
+
+
+def test_girard_par_table_matches_defining_formula_on_the_catalog():
+    from linrel.verify import catalog
+    finite = [e.girard for e in catalog().values()
+              if e.girard is not None and e.girard.carrier.is_finite]
+    # point, bool, diamond, z2shift, z3shift and z2shift-broken
+    assert len(finite) == 6
+    for g in finite:
+        assert_par_is_defining_formula(g)
+
+
+def s3_powerset_file():
+    """The subsets of the symmetric group S3 under the elementwise product,
+    a table file with a dualizer and no par block.  The complement of the
+    identity is a cyclic dualizer, and the product does not commute, so the
+    order of the two negations in the derived par shows."""
+    perms = sorted(permutations(range(3)))
+    n = len(perms)
+    mul = {(i, j): perms.index(tuple(p[k] for k in q))
+           for (i, p), (j, q) in product(enumerate(perms), repeat=2)}
+
+    def times(a, b):
+        out = 0
+        for i, j in product(range(n), repeat=2):
+            if a >> i & 1 and b >> j & 1:
+                out |= 1 << mul[i, j]
+        return out
+    names = [f"s{m}" for m in range(1 << n)]
+    e = 1 << perms.index((0, 1, 2))
+    return {
+        "kind": "table", "elements": names,
+        "covers": [[names[m], names[m | 1 << i]]
+                   for m in range(1 << n) for i in range(n) if not m >> i & 1],
+        "tensor": [[names[times(a, b)] for b in range(1 << n)]
+                   for a in range(1 << n)],
+        "unit": names[e], "dualizer": names[(1 << n) - 1 - e]}
+
+
+def test_girard_par_table_matches_defining_formula_from_a_file():
+    loaded = quantale_from_json(s3_powerset_file())
+    g = loaded.girard
+    table = g.op.table
+    assert any(table[i][j] != table[j][i]
+               for i, j in product(range(len(table)), repeat=2))
+    assert_par_is_defining_formula(g)
+    assert loaded.ld.par_op == g.par_op
+    assert loaded.ld.dualizer is None
 
 
 def test_par_unit_is_dualizer():
@@ -294,31 +361,27 @@ def test_meet_as_par_fails_empty_meet_preservation():
     lat = chain3()
     els = lat.elements
     meet_t = tuple(tuple(lat.meet((a, b)) for b in els) for a in els)
-    ld = LDQuantale(
-        tensor_part=table_quantale(lat, meet_t, "1"),
-        par_part=Quantale(carrier=FiniteCarrier(lat.opposite()),
-                          op=TableOp(meet_t), unit="1"))
+    ld = replace(table_quantale(lat, meet_t, "1"),
+                 par_op=TableOp(meet_t), par_unit="1")
     rep = check_ld_laws(ld)
     assert not rep.ok
     assert {e.law for e in rep.failing()} == {"par-top-left", "par-top-right"}
     assert rep.entry("par-top-left").witness["a"] == "0"
 
 
-def test_girard_to_ld_boolean():
-    g = girard_quantale(bool_quantale(), "0")
-    ld = girard_to_ld(g)
+def test_girard_par_boolean():
+    ld = girard_quantale(bool_quantale(), "0")
     assert ld.tensor("1", "1") == "1"
     assert ld.par("0", "1") == "1"
     assert ld.par_unit == "0"
     assert check_ld_laws(ld).ok
 
 
-def test_girard_to_ld_zinf_closed_form_matches_formula():
-    g = girard_quantale(tropical_quantale(), 3)
-    ld = girard_to_ld(g)
+def test_girard_par_zinf_closed_form_matches_formula():
+    ld = girard_quantale(tropical_quantale(), 3)
     for a in ld.sample_elements(6):
         for b in ld.sample_elements(6):
-            assert ld.par(a, b) == g.par(a, b), (a, b)
+            assert ld.par(a, b) == ld.neg(ld.tensor(ld.neg(b), ld.neg(a))), (a, b)
     assert ld.par_unit == 3
     assert check_ld_laws(ld).ok
 
@@ -331,7 +394,7 @@ def test_one_point_ld_degenerate():
 
 
 def test_opposite_quantale_involution():
-    ld = girard_to_ld(girard_quantale(tropical_quantale(), 0))
+    ld = replace(girard_quantale(tropical_quantale(), 0), dualizer=None)
     opp = opposite_quantale(ld)
     assert opposite_quantale(opp) == ld
     # the opposite of max-plus is min-plus with the reversed order
@@ -342,7 +405,7 @@ def test_opposite_quantale_involution():
 
 
 def test_opposite_boolean_swaps_roles():
-    ld = girard_to_ld(girard_quantale(bool_quantale(), "0"))
+    ld = girard_quantale(bool_quantale(), "0")
     opp = opposite_quantale(ld)
     assert opp.unit == "0"
     assert opp.tensor("0", "1") == "1"
@@ -402,13 +465,13 @@ def test_shift_completion_unknown_shift():
 
 def test_shift_completion_dualizers_found_not_assumed():
     ld2 = shift_completion(["e", "a"], [["e", "a"], ["a", "e"]], "a")
-    assert find_dualizers(ld2.tensor_part) == ("e", "a")
+    assert find_dualizers(ld2) == ("e", "a")
     names, table = cyclic_group_table(3)
     ld3 = shift_completion(names, table, "g1")
-    assert find_dualizers(ld3.tensor_part) == ("e", "g1", "g2")
+    assert find_dualizers(ld3) == ("e", "g1", "g2")
     # derived par from the shift dualizer agrees with the built par
-    g = girard_quantale(ld2.tensor_part, "a")
-    assert girard_to_ld(g).par_part.op.table == ld2.par_part.op.table
+    g = girard_quantale(ld2, "a")
+    assert g.par_op.table == ld2.par_op.table
 
 
 # -- arctic view ---------------------------------------------------------

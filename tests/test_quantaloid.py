@@ -1,6 +1,8 @@
 """Quantaloid layer: law suite, Girard families, monads, and the monad
 construction theorems."""
 
+from dataclasses import replace
+
 import pytest
 
 from linrel.errors import (
@@ -10,7 +12,7 @@ from linrel.errors import (
     UnknownElementError,
 )
 from linrel.lattice import chain
-from linrel.quantale import table_quantale
+from linrel.quantale import TableOp, table_quantale
 from linrel.quantaloid import (
     LinearMonad,
     LinearMonadBimodule,
@@ -329,10 +331,8 @@ def test_linear_theorem_transfers_absorption_failure():
     lat = chain(["0", "m", "1"])
     els = lat.elements
     join_t = [[lat.join((a, b)) for b in els] for a in els]
-    from linrel.quantale import LDQuantale
-    ld = LDQuantale(
-        tensor_part=table_quantale(lat, join_t, "0"),
-        par_part=table_quantale(lat.opposite(), join_t, "0"))
+    ld = replace(table_quantale(lat, join_t, "0"),
+                 par_op=TableOp(tuple(map(tuple, join_t))), par_unit="0")
     Q = one_object_quantaloid(ld)
     rep = verify_linear_quantaloid_theorems(Q)
     assert not rep.entry("tensor-bottom-left").ok

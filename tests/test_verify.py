@@ -12,7 +12,6 @@ from linrel.quantale import (
     check_ld_laws,
     check_quantale_laws,
     find_dualizers,
-    girard_to_ld,
 )
 from linrel.qmod import (
     check_dual_bimodule,
@@ -108,7 +107,7 @@ def test_oracle_agreement_seeded_3x3():
 
 def test_oracle_residual_scan_matches_closed_form():
     entry = catalog_entry("zinf-tropical")
-    q = entry.ld.tensor_part
+    q = entry.ld
     for a in q.sample_elements(10):
         for b in q.sample_elements(10):
             assert q.residual_right(a, b) == oracle_residual_scan(q, a, b, 10)
@@ -165,11 +164,10 @@ def test_catalog_rederivation_matches():
     assert first == second
     for name, entry in first.items():
         sample = entry.ld.sample_elements(10)
-        assert entry.quantale_ok == check_quantale_laws(
-            entry.ld.tensor_part, sample).ok
+        assert entry.quantale_ok == check_quantale_laws(entry.ld, sample).ok
         assert entry.ld_ok == check_ld_laws(entry.ld, sample).ok
         if entry.quantale_ok:
-            assert entry.dualizers == find_dualizers(entry.ld.tensor_part, sample)
+            assert entry.dualizers == find_dualizers(entry.ld, sample)
 
 
 def test_girard_negation_involutive_and_order_reversing_everywhere():
@@ -215,13 +213,12 @@ def test_qrel_laws_one_point_quantale_singletons():
     assert all(e.mode == "exhaustive" for e in rep.entries)
 
 
-def test_girard_to_ld_passes_on_every_girard_entry():
+def test_girard_form_passes_ld_laws_on_every_girard_entry():
     for name, entry in catalog().items():
         if entry.girard is None:
             continue
-        ld = girard_to_ld(entry.girard)
-        sample = ld.sample_elements(6)
-        assert check_ld_laws(ld, sample).ok, name
+        sample = entry.girard.sample_elements(6)
+        assert check_ld_laws(entry.girard, sample).ok, name
         # the unit dualizes to the par unit
         assert entry.girard.neg(entry.girard.unit) == entry.girard.dualizer
 
@@ -284,7 +281,7 @@ def test_registry_labels_unique():
 
 
 def test_quantale_suite_covers_group():
-    rep = check_quantale_laws(catalog_entry("bool").ld.tensor_part)
+    rep = check_quantale_laws(catalog_entry("bool").ld)
     assert rep.law_names() == LAW_GROUPS["quantale"]
 
 
