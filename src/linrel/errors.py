@@ -38,6 +38,15 @@ class NotGirardError(StructureError):
     pass
 
 
+class NotClosedError(StructureError):
+    """A construction's cells are not closed under its composition;
+    ``witness`` names a composite that leaves them."""
+
+    def __init__(self, witness: dict):
+        super().__init__(witness["note"])
+        self.witness = witness
+
+
 class SearchSpaceError(StructureError):
     """A brute-force search would exceed its configured cap."""
 

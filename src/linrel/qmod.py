@@ -10,10 +10,10 @@ mixed inequalities, and compose in two ways with mixed-order 2-cells
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice, product
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InputFormatError,
@@ -24,16 +24,24 @@ from .errors import (
 from .lattice import FiniteLattice
 from .laws import LAWS, Calculus
 from .quantaloid import (
+    _LINEAR_QBIM_LAWS,
+    _LINEAR_QCAT_LAWS,
+    _QBIM_LAWS,
+    _QCAT_LAWS,
     FiniteQuantaloid,
+    Matrix,
+    _failed_base_report,
+    _Law,
+    _law_report,
     _memoized,
+    _neither,
+    _restated,
+    _search,
     check_girard_family,
     check_quantaloid_laws,
     hom_dual,
-    transfer_to_linear_monq,
 )
-from .report import LAW_GROUPS, LawReport, Sampler, law_entry
-
-Matrix = tuple[tuple[str, ...], ...]
+from .report import LawReport, Sampler, law_entry
 
 
 @dataclass(frozen=True)
@@ -140,101 +148,8 @@ def qbimodule(source: QCategory, target: QCategory,
 
 
 # ---------------------------------------------------------------------------
-# Category and bimodule laws
-#
-# Each law is one inequality ``lhs <= rhs`` at every index tuple of the
-# product of its ranges; a range names the carrier its index runs over ("x"
-# the category or bimodule source, "y" the bimodule target).  A term is a
-# matrix name (its cell from the first index to the last), ``(unit,)`` for
-# a base unit at the first index, or ``(op, f, g)`` for the base composite
-# of f's cell (first, second index) with g's cell (second, third index).
-# Matrices are a category's ``et``/``ep``, and a bimodule's ``vt``/``vp``
-# with its endpoints' enrichments ``Mt``/``Mp`` (source) and ``Nt``/``Np``.
-# A law restated under another label may read its indices in another
-# order: ``at[p]`` is the position in the loop order of its index p.
+# Category and bimodule laws (stated in ``linrel.quantaloid``)
 
-Term = str | tuple[str, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class _Law:
-    label: str
-    ranges: str
-    lhs: Term
-    rhs: Term
-    names: tuple[str, ...] | None  # witness keys of the indices, else "indices"
-    sides: Callable[[str, str], dict]  # witness entries taken from lhs, rhs
-    at: tuple[int, ...] | None = None
-
-    @property
-    def reads(self) -> set[str]:
-        return {m for t in (self.lhs, self.rhs)
-                for m in ((t,) if isinstance(t, str) else t[1:])}
-
-    def witness(self, members: Mapping, loop, lhs: str, rhs: str) -> dict:
-        if self.names is None:
-            return {"indices": list(loop)}
-        named = {k: members[r][i] for k, r, i in zip(self.names, self.ranges, loop)}
-        return {**named, **self.sides(lhs, rhs)}
-
-    def instances(self, rhos: Mapping):
-        """(objects, indices, loop indices) of every check, in loop order."""
-        at = self.at or range(len(self.ranges))
-        for loop in product(*(range(len(rhos[r])) for r in self.ranges)):
-            yield (tuple(rhos[self.ranges[j]][loop[j]] for j in at),
-                   tuple(loop[j] for j in at), loop)
-
-
-def _laws(group: str, rows) -> tuple[_Law, ...]:
-    return tuple(_Law(label, *row)
-                 for label, row in zip(LAW_GROUPS[group], rows, strict=True))
-
-
-def _restated(group: str, rows, names=None, sides=None) -> tuple[_Law, ...]:
-    """The laws of `group` as (law, at) restatements of laws above; `at`
-    only swaps indices that run over the same carrier."""
-    return tuple(
-        replace(law, label=label, at=at, names=names, sides=sides or law.sides)
-        for label, (law, at) in zip(LAW_GROUPS[group], rows, strict=True))
-
-
-_XYZ = ("x", "y", "z")
-
-
-def _both(lhs, rhs):
-    return {"lhs": lhs, "rhs": rhs}
-
-
-def _neither(lhs, rhs):
-    return {}
-
-
-_QCAT_LAWS = _laws("qcat", (
-    ("x", ("unit_top",), "et", ("x",), lambda lhs, rhs: {"value": rhs}),
-    ("xxx", ("compose", "et", "et"), "et", _XYZ, _both),
-))
-_LINEAR_QCAT_LAWS = _laws("linear-qcat", (
-    ("x", "ep", ("unit_bot",), ("x",), lambda lhs, rhs: {"value": lhs}),
-    ("xxx", "ep", ("par_compose", "ep", "ep"), _XYZ, _both),
-    ("xxx", "et", ("par_compose", "ep", "et"), _XYZ, _neither),
-    ("xxx", "et", ("par_compose", "et", "ep"), _XYZ, _neither),
-    ("xxx", ("compose", "et", "ep"), "ep", _XYZ, _neither),
-    ("xxx", ("compose", "ep", "et"), "ep", _XYZ, _neither),
-))
-_QBIM_LAWS = _laws("qbim", (
-    ("xyy", ("compose", "vt", "Nt"), "vt", ("x", "y", "y2"),
-     lambda lhs, rhs: {"lhs": lhs}),
-    ("xxy", ("compose", "Mt", "vt"), "vt", ("x", "x2", "y"),
-     lambda lhs, rhs: {"lhs": lhs}),
-))
-_LINEAR_QBIM_LAWS = _laws("linear-qbim", (
-    ("xxy", "vt", ("par_compose", "Mp", "vt"), None, _neither),
-    ("xyy", "vt", ("par_compose", "vt", "Np"), None, _neither),
-    ("yyx", "vp", ("par_compose", "Np", "vp"), None, _neither),
-    ("yxx", "vp", ("par_compose", "vp", "Mp"), None, _neither),
-    ("yyx", ("compose", "Nt", "vp"), "vp", None, _neither),
-    ("yxx", ("compose", "vp", "Mt"), "vp", None, _neither),
-))
 _LAW = {law.label: law for law in _QCAT_LAWS + _LINEAR_QCAT_LAWS
         + _QBIM_LAWS + _LINEAR_QBIM_LAWS}
 # The second enrichment ``ep`` is the entrywise dual of ``et`` transposed,
@@ -265,152 +180,28 @@ def _bimodule_matrices(M: QCategory, N: QCategory, **values) -> dict:
     return {k: v for k, v in mats.items() if v is not None}
 
 
-# Row and column carriers of each matrix a law reads.
-_MATRIX_RANGES = {"et": "xx", "ep": "xx", "fam": "xx", "Mt": "xx", "Mp": "xx",
-                  "Nt": "yy", "Np": "yy", "vt": "xy", "vp": "yx"}
-
-
-# A law plan holds a law set's checks over slots, each slot the index of a
-# value in its hom: one per matrix cell read and one per base unit read.
-# The cells a search fills take the first slots, in fill order.  A check
-# ``(order, table, f, g, o)`` holds when ``order[table[v[f]][v[g]]][v[o]]``
-# does, or ``order[v[f]][v[o]]`` when ``table`` is None; no law composes on
-# both sides, and ``order`` is transposed when it composes on the right.
-@dataclass(frozen=True)
-class _Plan:
-    homs: tuple[FiniteLattice, ...]  # the hom of each slot
-    units: tuple[tuple[int, int], ...]  # (slot, value) of each unit
-    given: tuple[tuple[str, int, int, int], ...]  # (matrix, row, col, slot)
-    fill: tuple[tuple[tuple[int, ...], ...], ...]  # slots of filled matrices
-    # per law, in loop order: (loop indices, check, composite on the left)
-    laws: tuple[tuple[tuple[tuple[int, ...], tuple, bool], ...], ...]
-    by_cell: tuple[tuple[tuple, ...], ...]  # checks by last filled cell
-
-    def load(self, mats: Mapping) -> list[int]:
-        v = [0] * len(self.homs)
-        for s, value in self.units:
-            v[s] = value
-        for m, r, c, s in self.given:
-            v[s] = self.homs[s].index(mats[m][r][c])
-        return v
-
-    def decode(self, v: list[int]) -> tuple[Matrix, ...]:
-        homs = self.homs
-        return tuple(tuple(tuple(homs[s].elements[v[s]] for s in row)
-                           for row in grid) for grid in self.fill)
-
-
-def _plan(base: FiniteQuantaloid, laws: tuple[_Law, ...], rhos: Mapping,
-          given: frozenset[str], fill: tuple[str, ...]) -> _Plan:
-    """The plan of `laws` with the matrices in `given` fixed and those in
-    `fill` searched, compiled once per base."""
-    key = ("qmod-plan", laws, tuple(sorted(rhos.items())), given, fill)
-    return _memoized(base, key,
-                     partial(_compile, base, laws, rhos, given, fill))
-
-
-def _compile(base: FiniteQuantaloid, laws: tuple[_Law, ...], rhos: Mapping,
-             given: frozenset[str], fill: tuple[str, ...]) -> _Plan:
-    homs: list[FiniteLattice] = []
-    slots: dict[tuple, int] = {}
-    units: dict[int, int] = {}
-    geq: dict[tuple[str, str], tuple] = {}
-
-    def slot(key: tuple, hom: FiniteLattice) -> int:
-        if key not in slots:
-            slots[key] = len(homs)
-            homs.append(hom)
-        return slots[key]
-
-    def cell(m: str, r: int, c: int) -> int:
-        rows, cols = _MATRIX_RANGES[m]
-        return slot((m, r, c), base.homs[(rhos[rows][r], rhos[cols][c])])
-
-    def term(t: Term, objs, idx) -> tuple:
-        """(table, f, g) of a composite, else (None, slot, None)."""
-        if isinstance(t, str):
-            return None, cell(t, idx[0], idx[-1]), None
-        if len(t) == 1:
-            a = objs[0]
-            s = slot((t[0], a), base.homs[(a, a)])
-            units[s] = homs[s].index(getattr(base, t[0])(a))
-            return None, s, None
-        tables = base.coded.tensor if t[0] == "compose" else base.coded.par
-        if tables is None:
-            raise NoParStructureError("quantaloid has no par layer")
-        return (tables[objs], cell(t[1], idx[0], idx[1]),
-                cell(t[2], idx[1], idx[2]))
-
-    grids = []
-    for m in fill:
-        rows, cols = _MATRIX_RANGES[m]
-        grids.append(tuple(tuple(cell(m, r, c) for c in range(len(rhos[cols])))
-                           for r in range(len(rhos[rows]))))
-    n_fill = len(homs)
-    plans = []
-    by_cell: list[list[tuple]] = [[] for _ in range(n_fill)]
-    for law in laws:
-        checks = []
-        if law.reads <= given | set(fill):
-            for objs, idx, loop in law.instances(rhos):
-                ends = (objs[0], objs[-1])
-                lt, lf, lg = term(law.lhs, objs, idx)
-                rt, rf, rg = term(law.rhs, objs, idx)
-                if rt is None:
-                    check = (base.homs[ends].leq_matrix, lt, lf, lg, rf)
-                else:
-                    if ends not in geq:
-                        geq[ends] = tuple(zip(*base.homs[ends].leq_matrix))
-                    check = (geq[ends], rt, rf, rg, lf)
-                checks.append((loop, check, rt is None))
-                # filled slots are numbered in fill order, so the largest
-                # one a check reads is the last of its cells to be set
-                read = [s for s in (lf, lg, rf, rg)
-                        if s is not None and s < n_fill]
-                if read:
-                    by_cell[max(read)].append(check)
-        plans.append(tuple(checks))
-    given_cells = tuple((*key, s) for key, s in slots.items()
-                        if s >= n_fill and s not in units)
-    return _Plan(tuple(homs), tuple(units.items()), given_cells,
-                 tuple(grids), tuple(plans), tuple(map(tuple, by_cell)))
-
-
-def _law_report(suite: str, laws: tuple[_Law, ...], base: FiniteQuantaloid,
-                cats: Mapping[str, QCategory], mats: Mapping) -> LawReport:
-    """Each law with the witness of its first failing index tuple."""
-    rhos = {r: C.rho for r, C in cats.items()}
+def _report(suite: str, laws, cats: Mapping[str, QCategory],
+            mats: Mapping) -> LawReport:
+    """The law report on categories, whose members a witness names."""
     members = {r: C.members for r, C in cats.items()}
-    mats = {m: mat for m, mat in mats.items() if mat is not None}
-    plan = _plan(base, laws, rhos, frozenset(mats), ())
-    v = plan.load(mats)
-    entries = []
-    for law, checks in zip(laws, plan.laws):
-        wit = None
-        for loop, (order, table, f, g, o), left in checks:
-            comp = v[f] if table is None else table[v[f]][v[g]]
-            if not order[comp][v[o]]:
-                names = plan.homs[o].elements
-                lhs, rhs = (comp, v[o]) if left else (v[o], comp)
-                wit = law.witness(members, loop, names[lhs], names[rhs])
-                break
-        entries.append(law_entry(law.label, wit, "exhaustive"))
-    return LawReport(suite, tuple(entries))
+    return _law_report(suite, laws, cats["x"].base,
+                       {r: C.rho for r, C in cats.items()}, mats,
+                       lambda law, *failure: law.witness(members, *failure))
 
 
 def validate_qcategory(M: QCategory, suite: str = "qcategory") -> LawReport:
     laws = _QCAT_LAWS + (_LINEAR_QCAT_LAWS if M.is_linear else ())
-    return _law_report(suite, laws, M.base, {"x": M},
-                       {"et": M.enrich_tensor, "ep": M.enrich_par})
+    return _report(suite, laws, {"x": M},
+                   {"et": M.enrich_tensor, "ep": M.enrich_par})
 
 
 def validate_qbimodule(B: QBimodule, suite: str = "qbimodule") -> LawReport:
     M, N = B.source, B.target
     linear = B.is_linear and M.is_linear and N.is_linear
     laws = _QBIM_LAWS + (_LINEAR_QBIM_LAWS if linear else ())
-    return _law_report(suite, laws, M.base, {"x": M, "y": N},
-                       _bimodule_matrices(M, N, vt=B.values_tensor,
-                                          vp=B.values_par))
+    return _report(suite, laws, {"x": M, "y": N},
+                   _bimodule_matrices(M, N, vt=B.values_tensor,
+                                      vp=B.values_par))
 
 
 # ---------------------------------------------------------------------------
@@ -736,46 +527,6 @@ def check_qmod_linear_adjoint(T: QBimodule, P: QBimodule) -> bool:
 # Enumeration
 
 
-def _search(base: FiniteQuantaloid, laws: tuple[_Law, ...], rhos: Mapping,
-            mats: Mapping, fill: tuple[str, ...]) -> Iterator[tuple[Matrix, ...]]:
-    """Every filling of the matrices in `fill` on which the laws hold.
-
-    The cells (row-major, one matrix after another) take their hom's
-    elements in order with the last cell varying fastest, which is
-    `itertools.product` order.  `mats` holds the fixed matrices; a law
-    takes part when it reads a filled matrix and nothing missing, and each
-    of its instances is checked as soon as the last cell it reads is set,
-    so a failing prefix is cut off with all its extensions.
-    """
-    plan = _plan(base, laws, rhos, frozenset(mats), fill)
-    v = plan.load(mats)
-    homs, checks = plan.homs, plan.by_cell
-    if not checks:
-        yield plan.decode(v)
-        return
-    # Depth-first over an explicit stack of index iterators, one per set
-    # cell.  A nested generator recursing into itself would hold itself
-    # through its closure cell, a cycle that keeps the search's state alive
-    # until the cyclic collector runs.
-    stack = [iter(range(len(homs[0])))]
-    while stack:
-        k = len(stack) - 1
-        for value in stack[k]:
-            v[k] = value
-            for order, table, f, g, o in checks[k]:
-                if not order[v[f] if table is None else table[v[f]][v[g]]][v[o]]:
-                    break
-            else:
-                break  # every check holds
-        else:
-            stack.pop()
-            continue
-        if k + 1 < len(checks):
-            stack.append(iter(range(len(homs[k + 1]))))
-        else:
-            yield plan.decode(v)
-
-
 def enumerate_qcategories(base: FiniteQuantaloid, members: Sequence[str],
                           rho: Sequence[str], linear: bool = False,
                           limit: int | None = None) -> Iterator[QCategory]:
@@ -856,22 +607,9 @@ def verify_linear_qmod_theorem(base: FiniteQuantaloid, sampler: Sampler,
     if not base.has_par:
         raise NoParStructureError("theorem needs a par layer")
     base_rep = check_quantaloid_laws(base, suite=f"{suite}:base")
-    entries = list(base_rep.entries)
-
     if not base_rep.ok:
-        fail = base_rep.failing()[0]
-        reproduced = not transfer_to_linear_monq(base, fail.law, fail.witness or {})
-        entries.append(law_entry("theorem-forward", None, "exhaustive"))
-        entries.append(law_entry(
-            "theorem-backward",
-            None if reproduced else {"law": fail.law,
-                                     "note": "transfer did not reproduce"},
-            "exhaustive"))
-        entries.append(law_entry(
-            "theorem-transfer",
-            None if reproduced else {"law": fail.law, "witness": fail.witness},
-            "exhaustive"))
-        return LawReport(suite, tuple(entries))
+        return _failed_base_report(suite, base, base_rep)
+    entries = list(base_rep.entries)
 
     cats = sample_linear_categories(base, sizes, per_shape=cat_pool)
     pools: dict[tuple[int, int], list[QBimodule]] = {}
@@ -949,8 +687,8 @@ def check_second_enrichment(M: QCategory, family: Mapping[str, str],
     action laws together with their dual images."""
     ep = second_enrichment(M, family).enrich_par
     fam = tuple((family[a],) * len(M) for a in M.rho)
-    return _law_report(suite, _SECOND_ENRICHMENT_LAWS, M.base, {"x": M},
-                       {"et": M.enrich_tensor, "ep": ep, "fam": fam})
+    return _report(suite, _SECOND_ENRICHMENT_LAWS, {"x": M},
+                   {"et": M.enrich_tensor, "ep": ep, "fam": fam})
 
 
 def check_dual_bimodule(T: QBimodule, family: Mapping[str, str],
@@ -962,8 +700,7 @@ def check_dual_bimodule(T: QBimodule, family: Mapping[str, str],
         M, N, vt=T.values_tensor,
         vp=_qmod_linear_adjoint(T, family).values_tensor,
         Mp=_delta_matrix(M, family), Np=_delta_matrix(N, family))
-    return _law_report(suite, _DUAL_BIMODULE_LAWS, M.base, {"x": M, "y": N},
-                       mats)
+    return _report(suite, _DUAL_BIMODULE_LAWS, {"x": M, "y": N}, mats)
 
 
 # ---------------------------------------------------------------------------

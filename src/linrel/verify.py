@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
-from .errors import MismatchError, NotGirardError, UnknownElementError
+from .errors import MismatchError, NotClosedError, NotGirardError, UnknownElementError
 from .lattice import build_lattice, chain
 from .quantale import (
     MINUS_INF,
@@ -536,12 +536,14 @@ def _thm_girard_monq(entry: CatalogEntry, sampler: Sampler,
     else:
         entries = [law_entry("base-laws",
                              {"note": "no dualizing family on the base"}, mode)]
-        monq = monq_quantaloid(base)
-        found = find_girard_families(monq)
-        entries.append(law_entry(
-            "derived-laws",
-            {"note": "no dualizing family on monads"} if not found
-            else {"families": len(found)}, mode))
+        try:
+            found = find_girard_families(monq_quantaloid(base))
+            derived = ({"note": "no dualizing family on monads"} if not found
+                       else {"families": len(found)})
+        except NotClosedError as exc:
+            # without a monad quantaloid there is no family on monads either
+            found, derived = [], exc.witness
+        entries.append(law_entry("derived-laws", derived, mode))
         entries.extend(_implications(False, bool(found), mode))
         # a family on the monad side would restrict to one on the base;
         # none existing on either side is the expected correspondence
