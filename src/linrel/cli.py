@@ -18,7 +18,7 @@ from .quantale import (
     find_dualizers,
     quantale_from_json,
 )
-from .qmod import verify_linear_qmod_theorem
+from .qmod import verify_linear_qmod_theorem, verify_linear_quantaloid_theorems
 from .qrel import (
     check_girard_qrel,
     compose_par,
@@ -28,11 +28,7 @@ from .qrel import (
     relation_to_json,
     verify_qrel_laws,
 )
-from .quantaloid import (
-    one_object_quantaloid,
-    quantaloid_from_json,
-    verify_linear_quantaloid_theorems,
-)
+from .quantaloid import one_object_quantaloid, quantaloid_from_json
 from .report import LawReport, Sampler
 from .verify import (
     catalog,

@@ -502,20 +502,29 @@ def is_cyclic_dualizing(q: Quantale, d: Elem,
                         sample: Sequence[Elem] | None = None) -> bool:
     """True iff both residuations into d agree and double negation is identity."""
     q.carrier.check(d)
-    return _dualizes(q, d, _validated(q, sample))
+    return _dualizer_failure(q, d, _validated(q, sample)) is None
 
 
-def _dualizes(q: Quantale, d: Elem, sample: Sequence[Elem]) -> bool:
-    """``is_cyclic_dualizing`` on an already validated ``d`` and sample."""
+def _dualizer_failure(q: Quantale, d: Elem,
+                      sample: Sequence[Elem]) -> tuple[str, Elem] | None:
+    """The first failure of ``d`` on an already validated ``d`` and sample:
+    ``("cyclic", a)`` when the two residuals of ``a`` into ``d`` differ,
+    ``("double-dual", a)`` when ``a`` is not its own double dual; None
+    when ``d`` is cyclic dualizing on the sample."""
     rr, rl = q.res_right, q.res_left
-    return all(rl(d, a) == rr(a, d) and rr(rr(a, d), d) == a for a in sample)
+    for a in sample:
+        if rl(d, a) != rr(a, d):
+            return "cyclic", a
+        if rr(rr(a, d), d) != a:
+            return "double-dual", a
+    return None
 
 
 def find_dualizers(q: Quantale,
                    sample: Sequence[Elem] | None = None) -> tuple[Elem, ...]:
     """Scan candidate elements; empty result means no Girard structure found."""
     sample = _validated(q, sample)
-    return tuple(d for d in sample if _dualizes(q, d, sample))
+    return tuple(d for d in sample if _dualizer_failure(q, d, sample) is None)
 
 
 def with_dualizer(q: Quantale, d: Elem) -> Quantale:

@@ -1048,89 +1048,6 @@ def _linear_monq(Q: FiniteQuantaloid,
                              units_top, p_tables, units_bot)
 
 
-def transfer_to_linear_monq(Q: FiniteQuantaloid, label: str, witness: dict) -> bool:
-    """Replay a base law failure inside the monad construction.
-
-    Uses trivial linear monads and bimodule pairs (f, dual of f against
-    the tensor unit); returns whether the corresponding law still holds
-    (False reproduces the failure).
-    """
-    objs = witness.get("objects")
-    fs = [witness[k] for k in ("f", "g", "h", "f1", "f2") if k in witness]
-    if objs is None or not fs:
-        return True
-
-    def trivial(a: Obj) -> LinearMonad:
-        return LinearMonad(a, Q.unit_top(a), Q.unit_bot(a))
-
-    def embed(a: Obj, b: Obj, f: str) -> LinearMonadBimodule:
-        companion = hom_dual(Q, a, b, f, {o: Q.unit_top(o) for o in Q.objects})
-        return LinearMonadBimodule(trivial(a), trivial(b), f, companion)
-
-    par = label.startswith("par")
-    compose = linear_monq_compose_par if par else linear_monq_compose_tensor
-    if label.endswith("-associativity") and len(objs) == 4 and len(fs) >= 3:
-        a, b, c, d = objs
-        F, G, H = embed(a, b, fs[0]), embed(b, c, fs[1]), embed(c, d, fs[2])
-        lhs = compose(Q, compose(Q, F, G), H)
-        rhs = compose(Q, F, compose(Q, G, H))
-        return lhs.f_tensor == rhs.f_tensor
-    if label.startswith("linear-distribution") and len(objs) == 4 and len(fs) >= 3:
-        a, b, c, d = objs
-        F, G, H = embed(a, b, fs[0]), embed(b, c, fs[1]), embed(c, d, fs[2])
-        if label.endswith("left"):
-            lhs = linear_monq_compose_tensor(Q, F, linear_monq_compose_par(Q, G, H))
-            rhs = linear_monq_compose_par(Q, linear_monq_compose_tensor(Q, F, G), H)
-        else:
-            lhs = linear_monq_compose_tensor(Q, linear_monq_compose_par(Q, F, G), H)
-            rhs = linear_monq_compose_par(Q, F, linear_monq_compose_tensor(Q, G, H))
-        return _pair_leq(Q, lhs, rhs)
-    if label in ("tensor-unit-left", "tensor-unit-right", "par-unit-left",
-                 "par-unit-right") and len(fs) >= 1:
-        a, b = objs
-        F = embed(a, b, fs[0])
-        identity = linear_monq_identity_bot if par else linear_monq_identity_top
-        if label.endswith("left"):
-            got = compose(Q, identity(Q, trivial(a)), F)
-        else:
-            got = compose(Q, F, identity(Q, trivial(b)))
-        return got.f_tensor == F.f_tensor
-    if label in ("tensor-bottom-left", "tensor-bottom-right",
-                 "par-top-left", "par-top-right") and len(objs) == 3:
-        a, b, c = objs
-        left = label.endswith("left")
-        f = fs[0]
-        if par:
-            if left:
-                got = Q.par_compose(a, b, c, Q.hom(a, b).top, f)
-            else:
-                got = Q.par_compose(a, b, c, f, Q.hom(b, c).top)
-            return got == Q.hom(a, c).top
-        if left:
-            got = Q.compose(a, b, c, Q.hom(a, b).bottom, f)
-        else:
-            got = Q.compose(a, b, c, f, Q.hom(b, c).bottom)
-        return got == Q.hom(a, c).bottom
-    if label in ("tensor-sup-left", "tensor-sup-right",
-                 "par-inf-left", "par-inf-right") and len(objs) == 3:
-        a, b, c = objs
-        f1, f2, g = witness["f1"], witness["f2"], witness["g"]
-        op = Q.par_compose if par else Q.compose
-        left = label.endswith("left")
-        agg_hom = Q.hom(a, b) if left else Q.hom(b, c)
-        out_hom = Q.hom(a, c)
-        agg = agg_hom.meet if par else agg_hom.join
-        out = out_hom.meet if par else out_hom.join
-        if left:
-            lhs = op(a, b, c, agg((f1, f2)), g)
-            rhs = out((op(a, b, c, f1, g), op(a, b, c, f2, g)))
-        else:
-            lhs = op(a, b, c, g, agg((f1, f2)))
-            rhs = out((op(a, b, c, g, f1), op(a, b, c, g, f2)))
-        return lhs == rhs
-    return True
-
-
 # ---------------------------------------------------------------------------
 # JSON interface
 #
@@ -1149,20 +1066,20 @@ def _triple_key(a: Obj, b: Obj, c: Obj) -> str:
     return f"{a}->{b}->{c}"
 
 
-def _units_from_json(units, label: str) -> dict[Obj, str]:
-    if not isinstance(units, dict):
+def _json_object(blob, label: str, holds: str) -> dict:
+    """A block of a quantaloid file, refused unless it is a JSON object."""
+    if not isinstance(blob, dict):
         raise InputFormatError(
-            f"{label} must map each object to an element, not "
-            f"{type(units).__name__}")
-    return units
+            f"{label} must map each {holds}, not {type(blob).__name__}")
+    return blob
 
 
 def quantaloid_from_json(obj: dict) -> FiniteQuantaloid:
     try:
         objects = _object_names(obj["objects"])
-        hom_blobs = obj["homs"]
+        hom_blobs = _json_object(obj["homs"], "homs", "object pair to a hom")
         compose_blobs = obj["compose"]
-        units = _units_from_json(obj["units"], "units")
+        units = _json_object(obj["units"], "units", "object to an element")
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"quantaloid file is missing field: {exc}") from None
     homs = {}
@@ -1178,6 +1095,7 @@ def quantaloid_from_json(obj: dict) -> FiniteQuantaloid:
             homs[(a, b)] = build_lattice(blob["elements"], blob["covers"])
 
     def tables_from(blobs, label):
+        _json_object(blobs, label, "object triple to a table")
         tables = {}
         for a in objects:
             for b in objects:
@@ -1191,8 +1109,9 @@ def quantaloid_from_json(obj: dict) -> FiniteQuantaloid:
     par_tables = None
     par_units = None
     if "par_compose" in obj and obj["par_compose"] is not None:
-        par_tables = tables_from(obj["par_compose"], "par")
-        par_units = _units_from_json(obj.get("par_units") or {}, "par_units")
+        par_tables = tables_from(obj["par_compose"], "par_compose")
+        par_units = _json_object(obj.get("par_units") or {}, "par_units",
+                                 "object to an element")
     return finite_quantaloid(objects, homs, tables_from(compose_blobs, "compose"),
                              units, par_tables, par_units)
 
@@ -1232,47 +1151,3 @@ def quantaloid_to_json(Q: FiniteQuantaloid,
     if family is not None:
         out["dualizers"] = dict(family)
     return out
-
-
-def verify_linear_quantaloid_theorems(Q: FiniteQuantaloid,
-                                      suite: str = "linear-monq-theorem",
-                                      cap: int = 64) -> LawReport:
-    """Check the base laws and the materialized monad construction, then
-    report the two implications of the equivalence separately."""
-    if not Q.has_par:
-        raise NoParStructureError("theorem needs a par layer")
-    base = check_quantaloid_laws(Q, suite=f"{suite}:base")
-    if not base.ok:
-        return _failed_base_report(suite, Q, base)
-    mode = "exhaustive"
-    monq = linear_monq_quantaloid(Q, cap=cap)
-    derived = check_quantaloid_laws(monq, suite=f"{suite}:monq")
-    derived_ok = derived.ok
-    first_fail = None if derived_ok else derived.failing()[0]
-    return LawReport(suite, base.entries + (
-        law_entry("theorem-forward",
-                  None if derived_ok else {"law": first_fail.law,
-                                           "witness": first_fail.witness},
-                  mode),
-        law_entry("theorem-backward", None, mode),
-        law_entry("theorem-transfer", None, mode)))
-
-
-def _failed_base_report(suite: str, Q: FiniteQuantaloid,
-                        base: LawReport) -> LawReport:
-    """The theorem report on a base whose laws fail: the forward
-    implication holds vacuously, and the backward one holds when the first
-    failure transfers to the linear monad construction."""
-    fail = base.failing()[0]
-    reproduced = not transfer_to_linear_monq(Q, fail.law, fail.witness or {})
-    mode = "exhaustive"
-    return LawReport(suite, base.entries + (
-        law_entry("theorem-forward", None, mode),
-        law_entry("theorem-backward",
-                  None if reproduced else {"law": fail.law,
-                                           "note": "transfer did not reproduce"},
-                  mode),
-        law_entry("theorem-transfer",
-                  None if reproduced else {"law": fail.law,
-                                           "witness": fail.witness},
-                  mode)))

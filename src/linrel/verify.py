@@ -22,6 +22,7 @@ from .quantale import (
     Quantale,
     TableOp,
     ZIntOp,
+    _dualizer_failure,
     check_ld_laws,
     cyclic_group_table,
     find_dualizers,
@@ -39,13 +40,14 @@ from .qmod import (
     check_girard_qmod,
     discrete_qcategory,
     enumerate_qbimodules,
-    enumerate_qcategories,
     identity_bimodule,
     par_identity_bimodule,
     qmod_compose_par,
     qmod_compose_tensor,
     qmod_delta,
+    sample_linear_categories,
     verify_linear_qmod_theorem,
+    verify_linear_quantaloid_theorems,
 )
 from .qrel import (
     FiniteSet,
@@ -74,7 +76,6 @@ from .quantaloid import (
     monq_girard_family,
     monq_quantaloid,
     one_object_quantaloid,
-    verify_linear_quantaloid_theorems,
 )
 from .report import LAW_GROUPS, LawEntry, LawReport, Sampler, law_entry
 
@@ -392,15 +393,6 @@ def _thm_ldq(entry: CatalogEntry, sampler: Sampler,
     return LawReport(suite, tuple(entries))
 
 
-def _girard_quantale_witness(q: Quantale, d: Elem, sample) -> dict | None:
-    for a in sample:
-        if q.residual_left(d, a) != q.residual_right(a, d):
-            return {"kind": "cyclic", "a": a, "d": d}
-        if q.residual_right(q.residual_right(a, d), d) != a:
-            return {"kind": "double-dual", "a": a, "d": d}
-    return None
-
-
 def _thm_girard_qrel(entry: CatalogEntry, sampler: Sampler,
                      sets: Sequence[FiniteSet]) -> LawReport:
     suite = f"theorem-girard-qrel[{entry.name}]"
@@ -424,23 +416,24 @@ def _thm_girard_qrel(entry: CatalogEntry, sampler: Sampler,
         reproduced = True
         transfer_wit = None
         for d in sample:
-            wit = _girard_quantale_witness(q, d, sample)
-            if wit is None:
+            failure = _dualizer_failure(q, d, sample)
+            if failure is None:
                 reproduced = False
                 transfer_wit = {"d": d, "note": "candidate works in quantale"}
                 break
+            a = failure[1]
             pt = finite_set("pt", ("*",))
-            r = relation(pt, pt, q, [[wit["a"]]])
+            r = relation(pt, pt, q, [[a]])
             dd = rel_dual(rel_dual(r, d), d)
             ext_ok = dd.values == r.values
             cyc_ok = right_extension(r, dual_family(pt, q, d)).values == \
                 right_lifting(dual_family(pt, q, d), r).values
             if ext_ok and cyc_ok:
                 reproduced = False
-                transfer_wit = {"d": d, "a": wit["a"],
+                transfer_wit = {"d": d, "a": a,
                                 "note": "relation family passed unexpectedly"}
                 break
-            transfer_wit = {"d": d, "a": wit["a"]}
+            transfer_wit = {"d": d, "a": a}
         entries.append(law_entry("derived-laws",
                                  {"note": "diagonal family fails for every candidate",
                                   "witness": transfer_wit}, mode))
@@ -466,12 +459,7 @@ def _thm_girard_qmod(entry: CatalogEntry, sampler: Sampler,
     mode = "exhaustive"
     if entry.is_girard:
         family = {obj: entry.girard.dualizer}
-        cats = []
-        for size in (1, 2):
-            members = tuple(f"x{i}" for i in range(size))
-            cats.append(discrete_qcategory(base, members, (obj,) * size))
-            cats.extend(enumerate_qcategories(base, members, (obj,) * size,
-                                              limit=4))
+        cats = sample_linear_categories(base, per_shape=4, linear=False)
         bims = []
         for A in cats:
             for B in cats:
@@ -618,11 +606,7 @@ def _thm_qmod_closed(entry: CatalogEntry, sampler: Sampler,
     if not entry.is_girard:
         raise NotGirardError(f"{entry.name!r} has no Girard structure")
     family = {obj: entry.girard.dualizer}
-    cats = []
-    for size in (1, 2):
-        members = tuple(f"x{i}" for i in range(size))
-        cats.append(discrete_qcategory(base, members, (obj,) * size))
-        cats.extend(enumerate_qcategories(base, members, (obj,) * size, limit=3))
+    cats = sample_linear_categories(base, per_shape=3, linear=False)
     # the family is checked once here, not once per bimodule
     _require_girard(base, family)
     unit_wit = None

@@ -251,8 +251,13 @@ def _list_named_object(blob):
     lambda blob: blob.update(objects="*"),
     lambda blob: blob.update(objects=["*", "*"]),
     _list_named_object,
+    # strings that contain the keys looked up in them
+    lambda blob: blob.update(homs="*->*"),
+    lambda blob: blob.update(compose="*->*->*"),
+    lambda blob: blob.update(par_compose="*->*->*"),
 ], ids=["units-list", "par-units-list", "compose-number", "objects-string",
-        "objects-duplicate", "object-name-list"])
+        "objects-duplicate", "object-name-list", "homs-string",
+        "compose-string", "par-compose-string"])
 def test_bad_quantaloid_shape_exit_two(damage, tmp_path, capsys):
     blob = _bool_quantaloid_blob()
     damage(blob)

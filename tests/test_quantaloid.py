@@ -45,8 +45,8 @@ from linrel.quantaloid import (
     quantaloid_to_quantale,
     validate_linear_monad,
     validate_linear_monad_bimodule,
-    verify_linear_quantaloid_theorems,
 )
+from linrel.qmod import verify_linear_quantaloid_theorems
 from linrel.verify import catalog_entry
 
 
