@@ -5,16 +5,19 @@ linear quantaloid (:mod:`linrel.qmod`) form locally posetal linear
 bicategories under the same axioms.  Elements of an LD-quantale are the
 third level: the 1-cells of its one-object bicategory, Q-Rel on the
 one-point set, so the quantale, opposite-quantale and linear-distribution
-axioms on elements (:mod:`linrel.quantale`) are sixteen of the same laws.
-Each level supplies a :class:`Calculus` of its 1-cell operations;
-:data:`LAWS` states every axiom against that record, so the levels share
-the law bodies and differ only in how they draw cases and encode
-witnesses.
+axioms on elements (:mod:`linrel.quantale`) are sixteen of the same laws,
+and so are the axioms of a finite quantaloid (:mod:`linrel.quantaloid`),
+whose cells are hom elements between its objects.  Each level supplies a
+:class:`Calculus` of its 1-cell operations; :data:`LAWS` states every
+axiom against that record, so the levels share the law bodies and differ
+only in how they draw cases and encode witnesses.  A quantaloid's cases
+run over tuples of its objects (:data:`OBJECT_CASES`), and its absorption
+laws over a third, context object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from .report import LAW_GROUPS
@@ -94,15 +97,23 @@ def _multiplication_laws(op: str, bound: str, extreme: str, ident: str,
         o, b, eq = getattr(c, op), getattr(c, bound), c.eq
         return lambda g1, g2, f: eq(o(f, b(g1, g2)), b(o(f, g1), o(f, g2)))
 
+    # The extreme cell runs from a context object x to f's source (left)
+    # or from f's target to x (right); x defaults to that end of f.
     def extreme_left(c):
         o, e, eq, src, tgt = (getattr(c, op), getattr(c, extreme), c.eq,
                               c.source, c.target)
-        return lambda f: eq(o(e(f, src(f), src(f)), f), e(f, src(f), tgt(f)))
+        def law(f, x=None):
+            x = src(f) if x is None else x
+            return eq(o(e(f, x, src(f)), f), e(f, x, tgt(f)))
+        return law
 
     def extreme_right(c):
         o, e, eq, src, tgt = (getattr(c, op), getattr(c, extreme), c.eq,
                               c.source, c.target)
-        return lambda f: eq(o(f, e(f, tgt(f), tgt(f))), e(f, src(f), tgt(f)))
+        def law(f, x=None):
+            x = tgt(f) if x is None else x
+            return eq(o(f, e(f, tgt(f), x)), e(f, src(f), x))
+        return law
 
     return (assoc, unit_left, unit_right, bound_left, bound_right,
             extreme_left, extreme_right)
@@ -152,6 +163,36 @@ LAWS: dict[str, tuple[str, Law]] = {
     )
     for label, shape, law in zip(labels, shapes, laws, strict=True)
 }
+
+# On a calculus with many objects, such as a finite quantaloid, a case of a
+# law is a tuple of objects X0, X1, ... and an argument per slot: ``(key,
+# (i, j))``, a cell Xi -> Xj that witnesses name ``key``, or ``(None, k)``,
+# the context object Xk of an absorption law.
+_SLOT_KEYS = {"chain1": ("f",), "chain3": ("f", "g", "h"),
+              "fork-left": ("f1", "f2", "g"), "fork-right": ("f1", "f2", "g")}
+_ABSORPTION_CASES = ((("g", (1, 2)), (None, 0)), (("f", (0, 1)), (None, 2)))
+OBJECT_CASES: dict[str, tuple[tuple[str | None, Any], ...]] = {
+    label: tuple(zip(_SLOT_KEYS[shape], SHAPE_SLOTS[shape]))
+    for label, (shape, _) in LAWS.items()
+} | {
+    label: case
+    for group in ("quantale", "op-quantale")
+    for label, case in zip(LAW_GROUPS[group][-2:], _ABSORPTION_CASES,
+                           strict=True)
+}
+
+
+def sides(law: Law, calc: Calculus, case, one_cell: bool) -> dict:
+    """The sides ``lhs`` and ``rhs`` a law compares on ``case``, replayed
+    with an ``eq`` and ``leq`` that record them; a one-cell law keeps only
+    ``lhs``, since its right side follows from the cell."""
+    got: dict = {}
+    record = lambda lhs, rhs: got.update(lhs=lhs, rhs=rhs)
+    law(replace(calc, eq=record, leq=record))(*case)
+    if one_cell:
+        del got["rhs"]
+    return got
+
 
 # Element-level witnesses name a law's cells "a", "b", "c", the order in
 # which the element checks enumerate them (the first key outermost).  This

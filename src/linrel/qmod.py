@@ -24,7 +24,7 @@ from .errors import (
     NotGirardError,
 )
 from .lattice import FiniteLattice
-from .laws import LAWS, SHAPE_SLOTS, Calculus
+from .laws import LAWS, OBJECT_CASES, SHAPE_SLOTS, Calculus
 from .quantaloid import (
     _LINEAR_QBIM_LAWS,
     _LINEAR_QCAT_LAWS,
@@ -77,6 +77,19 @@ class QBimodule:
         return self.values_par is not None
 
 
+def _matrix(base: FiniteQuantaloid, rows: Sequence[str], cols: Sequence[str],
+            mat: Sequence[Sequence[str]], label: str) -> Matrix:
+    """`mat` as a tuple of rows, refused unless it has a cell of the right
+    hom for each (row object, column object)."""
+    out = tuple(tuple(r) for r in mat)
+    if len(out) != len(rows) or any(len(r) != len(cols) for r in out):
+        raise MismatchError(f"{label} must be {len(rows)}x{len(cols)}")
+    for a, row in zip(rows, out):
+        for b, v in zip(cols, row):
+            base.hom(a, b).index(v)
+    return out
+
+
 def qcategory(base: FiniteQuantaloid, members: Sequence[str], rho: Sequence[str],
               enrich_tensor: Sequence[Sequence[str]],
               enrich_par: Sequence[Sequence[str]] | None = None) -> QCategory:
@@ -87,19 +100,9 @@ def qcategory(base: FiniteQuantaloid, members: Sequence[str], rho: Sequence[str]
     for obj in rho:
         if obj not in base.objects:
             raise MismatchError(f"rho hits unknown object {obj!r}")
-    n = len(members)
-
-    def normalize(mat, label):
-        rows = tuple(tuple(r) for r in mat)
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise MismatchError(f"{label} enrichment must be {n}x{n}")
-        for i in range(n):
-            for j in range(n):
-                base.hom(rho[i], rho[j]).index(rows[i][j])
-        return rows
-
-    et = normalize(enrich_tensor, "tensor")
-    ep = normalize(enrich_par, "par") if enrich_par is not None else None
+    et = _matrix(base, rho, rho, enrich_tensor, "tensor enrichment")
+    ep = None if enrich_par is None else _matrix(base, rho, rho, enrich_par,
+                                                 "par enrichment")
     if ep is not None and not base.has_par:
         raise NoParStructureError("base quantaloid has no par layer")
     return QCategory(base=base, members=members, rho=rho,
@@ -109,19 +112,16 @@ def qcategory(base: FiniteQuantaloid, members: Sequence[str], rho: Sequence[str]
 def discrete_qcategory(base: FiniteQuantaloid, members: Sequence[str],
                        rho: Sequence[str], linear: bool = False) -> QCategory:
     """Identity enrichment: units on the diagonal, extremes off it."""
-    members = tuple(members)
     rho = tuple(rho)
-    n = len(members)
-    et = tuple(tuple(base.unit_top(rho[i]) if i == j
-                     else base.hom(rho[i], rho[j]).bottom
-                     for j in range(n)) for i in range(n))
-    ep = None
-    if linear:
-        ep = tuple(tuple(base.unit_bot(rho[i]) if i == j
-                         else base.hom(rho[i], rho[j]).top
-                         for j in range(n)) for i in range(n))
-    return QCategory(base=base, members=members, rho=rho,
-                     enrich_tensor=et, enrich_par=ep)
+    if len(rho) != len(members):
+        raise MismatchError("rho must assign an object to every member")
+
+    def enrichment(unit, extreme: str) -> Matrix:
+        return tuple(tuple(unit(a) if i == j else getattr(base.hom(a, b), extreme)
+                           for j, b in enumerate(rho)) for i, a in enumerate(rho))
+    return QCategory(base=base, members=tuple(members), rho=rho,
+                     enrich_tensor=enrichment(base.unit_top, "bottom"),
+                     enrich_par=enrichment(base.unit_bot, "top") if linear else None)
 
 
 def qbimodule(source: QCategory, target: QCategory,
@@ -129,22 +129,10 @@ def qbimodule(source: QCategory, target: QCategory,
               values_par: Sequence[Sequence[str]] | None = None) -> QBimodule:
     if source.base != target.base:
         raise MismatchError("bimodule endpoints live over different bases")
-    base = source.base
-    nx, ny = len(source), len(target)
-    rows = tuple(tuple(r) for r in values_tensor)
-    if len(rows) != nx or any(len(r) != ny for r in rows):
-        raise MismatchError(f"tensor values must be {nx}x{ny}")
-    for i in range(nx):
-        for j in range(ny):
-            base.hom(source.rho[i], target.rho[j]).index(rows[i][j])
-    par = None
-    if values_par is not None:
-        par = tuple(tuple(r) for r in values_par)
-        if len(par) != ny or any(len(r) != nx for r in par):
-            raise MismatchError(f"par values must be {ny}x{nx}")
-        for j in range(ny):
-            for i in range(nx):
-                base.hom(target.rho[j], source.rho[i]).index(par[j][i])
+    base, rx, ry = source.base, source.rho, target.rho
+    rows = _matrix(base, rx, ry, values_tensor, "tensor values")
+    par = None if values_par is None else _matrix(base, ry, rx, values_par,
+                                                  "par values")
     return QBimodule(source=source, target=target,
                      values_tensor=rows, values_par=par)
 
@@ -333,26 +321,15 @@ def bim_meet(T: QBimodule, P: QBimodule) -> QBimodule:
     return _combine(T, P, join=False)
 
 
-def zero_bimodule(M: QCategory, N: QCategory, linear: bool) -> QBimodule:
-    base = M.base
-    vt = tuple(tuple(base.hom(M.rho[x], N.rho[y]).bottom
-                     for y in range(len(N))) for x in range(len(M)))
-    vp = None
-    if linear:
-        vp = tuple(tuple(base.hom(N.rho[y], M.rho[x]).top
-                         for x in range(len(M))) for y in range(len(N)))
-    return QBimodule(M, N, vt, vp)
-
-
-def top_bimodule(M: QCategory, N: QCategory, linear: bool) -> QBimodule:
-    base = M.base
-    vt = tuple(tuple(base.hom(M.rho[x], N.rho[y]).top
-                     for y in range(len(N))) for x in range(len(M)))
-    vp = None
-    if linear:
-        vp = tuple(tuple(base.hom(N.rho[y], M.rho[x]).bottom
-                         for x in range(len(M))) for y in range(len(N)))
-    return QBimodule(M, N, vt, vp)
+def _extreme_bimodule(M: QCategory, N: QCategory, linear: bool, tensor: str,
+                      par: str) -> QBimodule:
+    """Every tensor value the ``tensor`` extreme ("bottom" or "top") of its
+    hom, and every par value the ``par`` extreme."""
+    def cells(rows, cols, bound):
+        return tuple(tuple(getattr(M.base.hom(a, b), bound) for b in cols)
+                     for a in rows)
+    return QBimodule(M, N, cells(M.rho, N.rho, tensor),
+                     cells(N.rho, M.rho, par) if linear else None)
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +545,8 @@ QMOD_CALCULUS = Calculus(
     par=lambda f, g: qmod_compose_par(f, g),
     id_top=lambda f, M: identity_bimodule(M),
     id_bot=lambda f, M: par_identity_bimodule(M),
-    zero=lambda f, M, N: zero_bimodule(M, N, f.is_linear),
-    top=lambda f, M, N: top_bimodule(M, N, f.is_linear),
+    zero=lambda f, M, N: _extreme_bimodule(M, N, f.is_linear, "bottom", "top"),
+    top=lambda f, M, N: _extreme_bimodule(M, N, f.is_linear, "top", "bottom"),
     join=bim_join,
     meet=bim_meet,
     leq=bim_leq,
@@ -643,12 +620,6 @@ def _failed_base_report(suite: str, Q: FiniteQuantaloid,
                     transfer={"law": fail.law, "witness": fail.witness})
 
 
-# The witness keys of a base law's cells (``check_quantaloid_laws``), in
-# the slot order of its shape.
-_CELL_KEYS = {"chain1": ("f",), "chain3": ("f", "g", "h"),
-              "fork-left": ("f1", "f2", "g"), "fork-right": ("f1", "f2", "g")}
-
-
 def _transfer_reproduces(base: FiniteQuantaloid, label: str,
                          witness: dict) -> bool:
     """Whether a base law failure recurs among linear monad bimodules.
@@ -656,33 +627,22 @@ def _transfer_reproduces(base: FiniteQuantaloid, label: str,
     Each witness object becomes its trivial linear monad, the one-member
     discrete linear category, and each witness cell f: a->b the 1x1 linear
     bimodule (f, the dual of f against the tensor units); ``LAWS[label]``
-    is replayed on them.  An absorption witness composes an extreme cell
-    between two objects with a cell from or to a third one, which the
-    one-cell form in LAWS cannot state, so it is composed here.
+    is replayed on them as ``laws.OBJECT_CASES`` lays out the case, with
+    an absorption law's context object as its trivial linear monad too.
     """
     objs = witness["objects"]
     units = {a: base.unit_top(a) for a in base.objects}
     cats = [discrete_qcategory(base, ("x",), (a,), linear=True) for a in objs]
 
-    def cell(i: int, j: int, f: str) -> QBimodule:
+    def arg(key: str | None, at) -> QBimodule | QCategory:
+        if key is None:
+            return cats[at]
+        (i, j), f = at, witness[key]
         return QBimodule(cats[i], cats[j], ((f,),),
                          ((hom_dual(base, objs[i], objs[j], f, units),),))
 
-    calc = QMOD_CALCULUS
-    if label.split("-")[1] in ("bottom", "top"):
-        par = label.startswith("par")
-        compose, extreme = (calc.par, calc.top) if par else (calc.tensor, calc.zero)
-        a, b, c = cats
-        if label.endswith("left"):
-            g = cell(1, 2, witness["g"])
-            got = compose(extreme(g, a, b), g)
-        else:
-            f = cell(0, 1, witness["f"])
-            got = compose(f, extreme(f, b, c))
-        return not calc.eq(got, extreme(got, a, c))
-    shape, law = LAWS[label]
-    return not law(calc)(*(cell(i, j, witness[k]) for (i, j), k
-                           in zip(SHAPE_SLOTS[shape], _CELL_KEYS[shape])))
+    law = LAWS[label][1](QMOD_CALCULUS)
+    return not law(*(arg(key, at) for key, at in OBJECT_CASES[label]))
 
 
 def verify_linear_qmod_theorem(base: FiniteQuantaloid, sampler: Sampler,

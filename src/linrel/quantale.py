@@ -27,7 +27,7 @@ from .errors import (
     UnknownElementError,
 )
 from .lattice import FiniteLattice, build_lattice
-from .laws import LAWS, WITNESS_KEYS, Calculus
+from .laws import LAWS, WITNESS_KEYS, Calculus, sides
 from .report import LAW_GROUPS, LawReport, law_entry
 
 Elem = Any  # str for finite carriers, int or an infinity marker for ZInt
@@ -601,8 +601,8 @@ def _law_report(amb: Quantale, domain_sample: Sequence[Elem] | None, window: int
     """Each law of ``labels`` on the scalar calculus of ``amb``, over the
     validated sample, up to its first failing case.
 
-    A failure is replayed once with a comparison that records its operands,
-    the two sides of the law, for the witness.
+    A failure is replayed once with ``laws.sides`` for the two sides of the
+    law in the witness.
     """
     sample = _validated(amb, domain_sample, window)
     mode = "exhaustive" if amb.carrier.is_finite and domain_sample is None \
@@ -615,10 +615,7 @@ def _law_report(amb: Quantale, domain_sample: Sequence[Elem] | None, window: int
         wit = None
         if case is not None:
             wit = dict(zip("abc", case))
-            record = lambda lhs, rhs: wit.update(lhs=lhs, rhs=rhs)
-            law(replace(calc, eq=record, leq=record))(*map(wit.get, keys))
-            if len(keys) == 1:
-                del wit["rhs"]
+            wit.update(sides(law, calc, map(wit.get, keys), len(keys) == 1))
         entries.append(law_entry(label, wit, mode))
     return LawReport(suite, tuple(entries))
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import product
+from itertools import compress, product, starmap
+from operator import eq, itemgetter, not_
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import (
@@ -27,6 +28,7 @@ from .errors import (
     SearchSpaceError,
 )
 from .lattice import FiniteLattice, build_lattice, lattice_from_leq
+from .laws import LAWS, OBJECT_CASES, Calculus, sides
 from .quantale import FiniteCarrier, Quantale, TableOp
 from .report import LAW_GROUPS, LawReport, law_entry
 
@@ -519,135 +521,74 @@ def _name(Q: FiniteQuantaloid, a: Obj, b: Obj, i: int) -> str:
     return Q.homs[(a, b)].elements[i]
 
 
+def coded_calculus(Q: FiniteQuantaloid) -> Calculus:
+    """The cells of ``Q`` as ``(source, target, index)``, with the index
+    into the hom's elements.  Compositions read ``Q.coded``, and the hom
+    lattices give the units, extreme cells and 2-cells.  The operations
+    assume that their cells compose or are parallel."""
+    homs = Q.homs
+
+    def composition(T):
+        return None if T is None else (
+            lambda f, g: (f[0], g[1], T[f[0], f[1], g[1]][f[2]][g[2]]))
+
+    def unit(units):
+        return None if units is None else (
+            lambda f, x: (x, x, homs[x, x].index(units[x])))
+
+    def extreme(bound):
+        return lambda f, x, y: (x, y, homs[x, y].index(getattr(homs[x, y], bound)))
+
+    return Calculus(
+        tensor=composition(Q.coded.tensor), par=composition(Q.coded.par),
+        id_top=unit(Q.units_top), id_bot=unit(Q.units_bot),
+        zero=extreme("bottom"), top=extreme("top"),
+        join=lambda f, g: (f[0], f[1], homs[f[:2]].join_table[f[2]][g[2]]),
+        meet=lambda f, g: (f[0], f[1], homs[f[:2]].meet_table[f[2]][g[2]]),
+        leq=lambda f, g: homs[f[:2]].leq_matrix[f[2]][g[2]],
+        eq=eq, source=itemgetter(0), target=itemgetter(1))
+
+
 def check_quantaloid_laws(Q: FiniteQuantaloid,
                           suite: str = "quantaloid-laws") -> LawReport:
-    """Exhaustive composition laws over all composable tuples; the par
-    layer, when present, is checked dually plus both linear distributions.
-
-    The checks run on ``Q.coded``, once per quantaloid; element names are
-    looked up only to build a witness, which is the first failing tuple in
-    loop order.  Each report gets its own copy of every witness."""
-    verdicts = _memoized(Q, ("quantaloid-laws",),
-                         partial(_quantaloid_law_verdicts, Q))
+    """The quantale laws, and with a par layer the opposite-quantale laws
+    and both linear distributions: ``laws.LAWS`` on the coded calculus,
+    each up to its first failing case in the order of
+    ``laws.OBJECT_CASES`` (the objects outermost, then the cells in slot
+    order).  The verdicts are kept in ``Q.memo``, once per quantaloid;
+    each report gets its own copy of every witness."""
+    verdicts = _memoized(Q, ("quantaloid-laws",), partial(_law_verdicts, Q))
     return LawReport(suite, tuple(law_entry(label, copy.deepcopy(wit),
                                             "exhaustive")
                                   for label, wit in verdicts))
 
 
-def _quantaloid_law_verdicts(Q: FiniteQuantaloid):
+def _law_verdicts(Q: FiniteQuantaloid):
     """Each law's label and first witness (None when it holds)."""
-    code, homs, objs = Q.coded, Q.homs, Q.objects
-    name = partial(_name, Q)
+    calc = coded_calculus(Q)
+    cells = {(a, b): tuple((a, b, i) for i in range(len(h)))
+             for (a, b), h in Q.homs.items()}
 
-    def first_diff(xs, ys) -> int:
-        return next(k for k, (x, y) in enumerate(zip(xs, ys)) if x != y)
-
-    def assoc(T):
-        for a, b, c, d in product(objs, repeat=4):
-            t_abd, t_acd, t_bcd = T[(a, b, d)], T[(a, c, d)], T[(b, c, d)]
-            for f, fg_row in enumerate(T[(a, b, c)]):
-                f_row = t_abd[f]
-                for g, fg in enumerate(fg_row):
-                    lhs = t_acd[fg]
-                    rhs = tuple(map(f_row.__getitem__, t_bcd[g]))
-                    if lhs != rhs:
-                        h = first_diff(lhs, rhs)
-                        return {"objects": [a, b, c, d], "f": name(a, b, f),
-                                "g": name(b, c, g), "h": name(c, d, h),
-                                "lhs": name(a, d, lhs[h]),
-                                "rhs": name(a, d, rhs[h])}
+    def witness(label: str) -> dict | None:
+        law, args = LAWS[label][1], OBJECT_CASES[label]
+        holds = law(calc)
+        points = 1 + max(max(at) if key else at for key, at in args)
+        for objs in product(Q.objects, repeat=points):
+            pools = [cells[objs[at[0]], objs[at[1]]] if key else (objs[at],)
+                     for key, at in args]
+            case = next(compress(product(*pools), map(
+                not_, starmap(holds, product(*pools)))), None)
+            if case is not None:
+                named = {key: cell for (key, _), cell in zip(args, case) if key}
+                named.update(sides(law, calc, case, len(named) == 1))
+                return {"objects": list(objs),
+                        **{key: _name(Q, *cell) for key, cell in named.items()}}
         return None
 
-    def unit(T, units, left):
-        for a, b in product(objs, repeat=2):
-            if left:
-                got = T[(a, a, b)][homs[(a, a)].index(units[a])]
-            else:
-                u = homs[(b, b)].index(units[b])
-                got = tuple(row[u] for row in T[(a, b, b)])
-            for f, v in enumerate(got):
-                if v != f:
-                    return {"objects": [a, b], "f": name(a, b, f),
-                            "lhs": name(a, b, v)}
-        return None
-
-    def sup(T, bound, left):
-        # the right law is the left one on the transposed table
-        for a, b, c in product(objs, repeat=3):
-            src, other = ((a, b), (b, c)) if left else ((b, c), (a, b))
-            agg = getattr(homs[src], bound)
-            out = getattr(homs[(a, c)], bound)
-            rows = T[(a, b, c)] if left else tuple(zip(*T[(a, b, c)]))
-            for f1, r1 in enumerate(rows):
-                agg_row = agg[f1]
-                for f2, r2 in enumerate(rows):
-                    lhs = rows[agg_row[f2]]
-                    rhs = tuple(out[x][y] for x, y in zip(r1, r2))
-                    if lhs != rhs:
-                        g = first_diff(lhs, rhs)
-                        return {"objects": [a, b, c], "f1": name(*src, f1),
-                                "f2": name(*src, f2), "g": name(*other, g),
-                                "lhs": name(a, c, lhs[g]),
-                                "rhs": name(a, c, rhs[g])}
-        return None
-
-    def absorb(T, bound, left):
-        def absorber(pair):
-            return homs[pair].index(getattr(homs[pair], bound))
-
-        for a, b, c in product(objs, repeat=3):
-            want = absorber((a, c))
-            if left:
-                src, key, got = (b, c), "g", T[(a, b, c)][absorber((a, b))]
-            else:
-                z = absorber((b, c))
-                src, key, got = (a, b), "f", tuple(row[z] for row in T[(a, b, c)])
-            for i, v in enumerate(got):
-                if v != want:
-                    return {"objects": [a, b, c], key: name(*src, i),
-                            "lhs": name(a, c, v)}
-        return None
-
-    def dist(left):
-        T, P = code.tensor, code.par
-        for a, b, c, d in product(objs, repeat=4):
-            leq = homs[(a, d)].leq_matrix
-            t_abc, t_acd, t_abd, t_bcd = (T[(a, b, c)], T[(a, c, d)],
-                                          T[(a, b, d)], T[(b, c, d)])
-            p_abc, p_acd, p_abd, p_bcd = (P[(a, b, c)], P[(a, c, d)],
-                                          P[(a, b, d)], P[(b, c, d)])
-            for f, g in product(range(len(t_abc)), range(len(t_bcd))):
-                if left:
-                    lhs = tuple(map(t_abd[f].__getitem__, p_bcd[g]))
-                    rhs = p_acd[t_abc[f][g]]
-                else:
-                    lhs = t_acd[p_abc[f][g]]
-                    rhs = tuple(map(p_abd[f].__getitem__, t_bcd[g]))
-                for h, (x, y) in enumerate(zip(lhs, rhs)):
-                    if not leq[x][y]:
-                        return {"objects": [a, b, c, d], "f": name(a, b, f),
-                                "g": name(b, c, g), "h": name(c, d, h),
-                                "lhs": name(a, d, x), "rhs": name(a, d, y)}
-        return None
-
-    layers = [("tensor", code.tensor, Q.units_top, "join_table", "sup", "bottom")]
+    labels = LAW_GROUPS["quantale"]
     if Q.has_par:
-        layers.append(("par", code.par, Q.units_bot, "meet_table", "inf", "top"))
-    checks = []
-    for op, T, units, bound, sup_name, absorber in layers:
-        checks += [
-            (f"{op}-associativity", assoc(T)),
-            (f"{op}-unit-left", unit(T, units, True)),
-            (f"{op}-unit-right", unit(T, units, False)),
-            (f"{op}-{sup_name}-left", sup(T, bound, True)),
-            (f"{op}-{sup_name}-right", sup(T, bound, False)),
-            (f"{op}-{absorber}-left", absorb(T, absorber, True)),
-            (f"{op}-{absorber}-right", absorb(T, absorber, False)),
-        ]
-    if Q.has_par:
-        checks += [("linear-distribution-left", dist(True)),
-                   ("linear-distribution-right", dist(False))]
-    return tuple(checks)
+        labels += LAW_GROUPS["op-quantale"] + LAW_GROUPS["linear-distribution"]
+    return tuple((label, witness(label)) for label in labels)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,12 +999,9 @@ def _linear_monq(Q: FiniteQuantaloid,
 #  "par_compose": {...}?, "par_units": {...}?, "dualizers": {...}?}
 
 
-def _pair_key(a: Obj, b: Obj) -> str:
-    return f"{a}->{b}"
-
-
-def _triple_key(a: Obj, b: Obj, c: Obj) -> str:
-    return f"{a}->{b}->{c}"
+def _key(*objs: Obj) -> str:
+    """The key of an object pair or triple in a quantaloid file."""
+    return "->".join(objs)
 
 
 def _json_object(blob, label: str, holds: str) -> dict:
@@ -1082,29 +1020,27 @@ def quantaloid_from_json(obj: dict) -> FiniteQuantaloid:
         units = _json_object(obj["units"], "units", "object to an element")
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"quantaloid file is missing field: {exc}") from None
+    if not objects:
+        raise InputFormatError("objects must name at least one object")
+
+    def blocks(blobs, repeat: int, label: str):
+        """(objects, key, block) of each object tuple, in product order."""
+        for objs in product(objects, repeat=repeat):
+            key = _key(*objs)
+            if key not in blobs:
+                raise InputFormatError(f"missing {label} {key!r}")
+            yield objs, key, blobs[key]
+
     homs = {}
-    for a in objects:
-        for b in objects:
-            key = _pair_key(a, b)
-            if key not in hom_blobs:
-                raise InputFormatError(f"missing hom block {key!r}")
-            blob = hom_blobs[key]
-            if not isinstance(blob, dict) or not {"elements", "covers"} <= blob.keys():
-                raise InputFormatError(
-                    f"hom block {key!r} needs 'elements' and 'covers'")
-            homs[(a, b)] = build_lattice(blob["elements"], blob["covers"])
+    for pair, key, blob in blocks(hom_blobs, 2, "hom block"):
+        if not isinstance(blob, dict) or not {"elements", "covers"} <= blob.keys():
+            raise InputFormatError(
+                f"hom block {key!r} needs 'elements' and 'covers'")
+        homs[pair] = build_lattice(blob["elements"], blob["covers"])
 
     def tables_from(blobs, label):
         _json_object(blobs, label, "object triple to a table")
-        tables = {}
-        for a in objects:
-            for b in objects:
-                for c in objects:
-                    key = _triple_key(a, b, c)
-                    if key not in blobs:
-                        raise InputFormatError(f"missing {label} table {key!r}")
-                    tables[(a, b, c)] = blobs[key]
-        return tables
+        return {trip: table for trip, _, table in blocks(blobs, 3, f"{label} table")}
 
     par_tables = None
     par_units = None
@@ -1118,7 +1054,8 @@ def quantaloid_from_json(obj: dict) -> FiniteQuantaloid:
 
 def quantaloid_family_from_json(obj: dict) -> dict[Obj, str] | None:
     if "dualizers" in obj and obj["dualizers"] is not None:
-        return dict(obj["dualizers"])
+        return dict(_json_object(obj["dualizers"], "dualizers",
+                                 "object to an element"))
     return None
 
 
@@ -1140,12 +1077,12 @@ def quantaloid_to_json(Q: FiniteQuantaloid,
                                   and lat.leq_matrix[k][j] for k in range(n))
                     if not between:
                         covers.append([lat.elements[i], lat.elements[j]])
-        out["homs"][_pair_key(a, b)] = {"elements": list(lat.elements),
-                                        "covers": covers}
+        out["homs"][_key(a, b)] = {"elements": list(lat.elements),
+                                   "covers": covers}
     for (a, b, c), table in Q.tensor_tables.items():
-        out["compose"][_triple_key(a, b, c)] = [list(r) for r in table]
+        out["compose"][_key(a, b, c)] = [list(r) for r in table]
     if Q.has_par:
-        out["par_compose"] = {_triple_key(a, b, c): [list(r) for r in table]
+        out["par_compose"] = {_key(a, b, c): [list(r) for r in table]
                               for (a, b, c), table in Q.par_tables.items()}
         out["par_units"] = dict(Q.units_bot)
     if family is not None:

@@ -255,18 +255,21 @@ def _list_named_object(blob):
     lambda blob: blob.update(homs="*->*"),
     lambda blob: blob.update(compose="*->*->*"),
     lambda blob: blob.update(par_compose="*->*->*"),
+    # an empty object list once crashed verify-qmod and passed verify-monq
+    lambda blob: blob.update(objects=[]),
 ], ids=["units-list", "par-units-list", "compose-number", "objects-string",
         "objects-duplicate", "object-name-list", "homs-string",
-        "compose-string", "par-compose-string"])
+        "compose-string", "par-compose-string", "objects-empty"])
 def test_bad_quantaloid_shape_exit_two(damage, tmp_path, capsys):
     blob = _bool_quantaloid_blob()
     damage(blob)
     path = tmp_path / "bad_shape.json"
     path.write_text(json.dumps(blob))
-    assert main(["verify-monq", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    for command in ("verify-monq", "verify-qmod"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["verify-monq", "check-quantale"])

@@ -70,6 +70,14 @@ def test_discrete_category_validates():
     assert M.enrich_par == (("0", "1"), ("1", "0"))
 
 
+@pytest.mark.parametrize("rho", [("*", "*"), ()], ids=["longer", "shorter"])
+def test_discrete_category_needs_one_object_per_member(rho):
+    # a longer rho once built a one-member category on two objects, and a
+    # shorter one raised IndexError
+    with pytest.raises(MismatchError):
+        discrete_qcategory(bool_base(), ("x",), rho)
+
+
 def test_boolean_categories_are_preorders():
     cats = bool_preorders()
     # preorders on two points: discrete, two one-way arrows, and the chaos

@@ -368,3 +368,13 @@ def test_quantaloid_json_missing_field():
     from linrel.errors import InputFormatError
     with pytest.raises(InputFormatError):
         quantaloid_from_json({"objects": ["a"]})
+
+
+@pytest.mark.parametrize("dualizers", [5, ["a"], ["ab"]],
+                         ids=["number", "list", "list-of-pair"])
+def test_quantaloid_json_dualizers_not_object(dualizers):
+    # ["ab"] once read as {"a": "b"}, the others raised a bare error
+    from linrel.errors import InputFormatError
+    from linrel.quantaloid import quantaloid_family_from_json
+    with pytest.raises(InputFormatError):
+        quantaloid_family_from_json({"dualizers": dualizers})

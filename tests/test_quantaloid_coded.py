@@ -188,6 +188,29 @@ def two_object_bool():
     return finite_quantaloid(objs, homs, tables, {x: "1" for x in objs})
 
 
+def three_object_bool(broken=False):
+    """Boolean homs on three objects with meet as tensor and join as par,
+    so associativity and distribution across distinct objects are
+    compared.  The broken one composes bottom: a->b with top: b->c to top,
+    so its first tensor absorption failure has a third object distinct
+    from both ends of the cell."""
+    lat = chain(["0", "1"])
+    objs = ["a", "b", "c"]
+    homs = {(x, y): lat for x in objs for y in objs}
+
+    def tables(pair):
+        table = tuple(tuple(pair((f, g)) for g in lat.elements)
+                      for f in lat.elements)
+        return {trip: table for trip in product(objs, repeat=3)}
+
+    tensor = tables(lat.meet)
+    if broken:
+        tensor[("a", "b", "c")] = (("0", "1"), ("0", "1"))
+    return finite_quantaloid(objs, homs, tensor,
+                             {x: "1" for x in objs}, tables(lat.join),
+                             {x: "0" for x in objs})
+
+
 # Named here rather than read from the catalog, so that collecting this
 # file builds no catalog entry.
 SOUND = ("bool", "chain3", "diamond", "point", "z2shift", "z3shift")
@@ -206,6 +229,8 @@ QUANTALOIDS = {
     **{f"{n}:linear-monq": (lambda n=n: linear_monq_quantaloid(base(n)))
        for n in SOUND},
     "two-object-bool": two_object_bool,
+    "three-object-bool": three_object_bool,
+    "three-object-bool-broken": lambda: three_object_bool(broken=True),
 }
 
 
