@@ -12,8 +12,8 @@ here too.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial, reduce
 from itertools import islice, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -30,8 +30,11 @@ from .quantaloid import (
     _LINEAR_QCAT_LAWS,
     _QBIM_LAWS,
     _QCAT_LAWS,
+    Codes,
     FiniteQuantaloid,
     Matrix,
+    _dual_code,
+    _family_codes,
     _Law,
     _law_report,
     _memoized,
@@ -46,9 +49,24 @@ from .quantaloid import (
 from .report import LawReport, Sampler, law_entry
 
 
+# Where element names come in and go out; a missing matrix stays None.
+def _codes(base: FiniteQuantaloid, rows: Sequence[str], cols: Sequence[str],
+           mat: Matrix | None) -> Codes | None:
+    return None if mat is None else tuple(
+        tuple(base.homs[(a, b)].index(v) for b, v in zip(cols, row))
+        for a, row in zip(rows, mat))
+
+
+def _decode(base: FiniteQuantaloid, rows: Sequence[str], cols: Sequence[str],
+            codes: Codes | None) -> Matrix | None:
+    return None if codes is None else tuple(
+        tuple(base.homs[(a, b)].elements[i] for b, i in zip(cols, row))
+        for a, row in zip(rows, codes))
+
+
 @dataclass(frozen=True)
 class QCategory:
-    base: FiniteQuantaloid
+    base: FiniteQuantaloid = field(hash=False)  # unhashable
     members: tuple[str, ...]
     rho: tuple[str, ...]
     enrich_tensor: Matrix
@@ -61,32 +79,69 @@ class QCategory:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def codes(self) -> tuple[Codes, Codes | None]:
+        """The tensor and par enrichments as hom indices."""
+        return tuple(_codes(self.base, self.rho, self.rho, mat)
+                     for mat in (self.enrich_tensor, self.enrich_par))
 
-@dataclass(frozen=True)
+
+def _category(base: FiniteQuantaloid, members: tuple[str, ...],
+              rho: tuple[str, ...], et: Codes, ep: Codes | None = None) -> QCategory:
+    """A category from its coded enrichments, which it keeps as its codes."""
+    M = QCategory(base, members, rho, *(_decode(base, rho, rho, mat)
+                                        for mat in (et, ep)))
+    M.__dict__["codes"] = (et, ep)
+    return M
+
+
+@dataclass(unsafe_hash=True, init=False)
 class QBimodule:
     """values_tensor is indexed (source member, target member); the par
-    values run the other way, (target member, source member)."""
+    values run the other way, (target member, source member).  The cells
+    are kept as hom indices, ``tensor`` and ``par`` (None when plain); the
+    names are decoded on first read.  Treat it as immutable."""
 
     source: QCategory
     target: QCategory
-    values_tensor: Matrix
-    values_par: Matrix | None = None
+    tensor: Codes
+    par: Codes | None
+
+    def __init__(self, source: QCategory, target: QCategory,
+                 values_tensor: Matrix, values_par: Matrix | None = None) -> None:
+        """Checks only the cells; :func:`qbimodule` validates the shape."""
+        self.source, self.target = source, target
+        self.tensor = _codes(source.base, source.rho, target.rho, values_tensor)
+        self.par = _codes(source.base, target.rho, source.rho, values_par)
+        self.values_tensor, self.values_par = values_tensor, values_par
 
     @property
     def is_linear(self) -> bool:
-        return self.values_par is not None
+        return self.par is not None
+
+    @cached_property
+    def values_tensor(self) -> Matrix:
+        return _decode(self.source.base, self.source.rho, self.target.rho, self.tensor)
+
+    @cached_property
+    def values_par(self) -> Matrix | None:
+        return _decode(self.source.base, self.target.rho, self.source.rho, self.par)
 
 
-def _matrix(base: FiniteQuantaloid, rows: Sequence[str], cols: Sequence[str],
+def _made(source: QCategory, target: QCategory, tensor: Codes,
+          par: Codes | None = None) -> QBimodule:
+    """A bimodule from its code matrices, with its names left undecoded."""
+    B = object.__new__(QBimodule)
+    B.source, B.target, B.tensor, B.par = source, target, tensor, par
+    return B
+
+
+def _matrix(rows: Sequence[str], cols: Sequence[str],
             mat: Sequence[Sequence[str]], label: str) -> Matrix:
-    """`mat` as a tuple of rows, refused unless it has a cell of the right
-    hom for each (row object, column object)."""
+    """`mat` as a tuple of rows, refused unless it has the right shape."""
     out = tuple(tuple(r) for r in mat)
     if len(out) != len(rows) or any(len(r) != len(cols) for r in out):
         raise MismatchError(f"{label} must be {len(rows)}x{len(cols)}")
-    for a, row in zip(rows, out):
-        for b, v in zip(cols, row):
-            base.hom(a, b).index(v)
     return out
 
 
@@ -100,13 +155,15 @@ def qcategory(base: FiniteQuantaloid, members: Sequence[str], rho: Sequence[str]
     for obj in rho:
         if obj not in base.objects:
             raise MismatchError(f"rho hits unknown object {obj!r}")
-    et = _matrix(base, rho, rho, enrich_tensor, "tensor enrichment")
-    ep = None if enrich_par is None else _matrix(base, rho, rho, enrich_par,
+    et = _matrix(rho, rho, enrich_tensor, "tensor enrichment")
+    ep = None if enrich_par is None else _matrix(rho, rho, enrich_par,
                                                  "par enrichment")
+    M = QCategory(base=base, members=members, rho=rho,
+                  enrich_tensor=et, enrich_par=ep)
+    M.codes  # coding every cell refuses unknown elements
     if ep is not None and not base.has_par:
         raise NoParStructureError("base quantaloid has no par layer")
-    return QCategory(base=base, members=members, rho=rho,
-                     enrich_tensor=et, enrich_par=ep)
+    return M
 
 
 def discrete_qcategory(base: FiniteQuantaloid, members: Sequence[str],
@@ -129,12 +186,11 @@ def qbimodule(source: QCategory, target: QCategory,
               values_par: Sequence[Sequence[str]] | None = None) -> QBimodule:
     if source.base != target.base:
         raise MismatchError("bimodule endpoints live over different bases")
-    base, rx, ry = source.base, source.rho, target.rho
-    rows = _matrix(base, rx, ry, values_tensor, "tensor values")
-    par = None if values_par is None else _matrix(base, ry, rx, values_par,
+    rx, ry = source.rho, target.rho
+    rows = _matrix(rx, ry, values_tensor, "tensor values")
+    par = None if values_par is None else _matrix(ry, rx, values_par,
                                                   "par values")
-    return QBimodule(source=source, target=target,
-                     values_tensor=rows, values_par=par)
+    return QBimodule(source, target, rows, par)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +221,8 @@ _DUAL_BIMODULE_LAWS = _restated("second-enrichment-bimodule", (
 
 
 def _bimodule_matrices(M: QCategory, N: QCategory, **values) -> dict:
-    mats = {"Mt": M.enrich_tensor, "Mp": M.enrich_par, "Nt": N.enrich_tensor,
-            "Np": N.enrich_par, **values}
+    (Mt, Mp), (Nt, Np) = M.codes, N.codes
+    mats = {"Mt": Mt, "Mp": Mp, "Nt": Nt, "Np": Np, **values}
     return {k: v for k, v in mats.items() if v is not None}
 
 
@@ -176,13 +232,13 @@ def _report(suite: str, laws, cats: Mapping[str, QCategory],
     members = {r: C.members for r, C in cats.items()}
     return _law_report(suite, laws, cats["x"].base,
                        {r: C.rho for r, C in cats.items()}, mats,
-                       lambda law, *failure: law.witness(members, *failure))
+                       lambda law, *failure: law.witness(members, *failure),
+                       names=False)
 
 
 def validate_qcategory(M: QCategory, suite: str = "qcategory") -> LawReport:
     laws = _QCAT_LAWS + (_LINEAR_QCAT_LAWS if M.is_linear else ())
-    return _report(suite, laws, {"x": M},
-                   {"et": M.enrich_tensor, "ep": M.enrich_par})
+    return _report(suite, laws, {"x": M}, dict(zip(("et", "ep"), M.codes)))
 
 
 def validate_qbimodule(B: QBimodule, suite: str = "qbimodule") -> LawReport:
@@ -190,8 +246,7 @@ def validate_qbimodule(B: QBimodule, suite: str = "qbimodule") -> LawReport:
     linear = B.is_linear and M.is_linear and N.is_linear
     laws = _QBIM_LAWS + (_LINEAR_QBIM_LAWS if linear else ())
     return _report(suite, laws, {"x": M, "y": N},
-                   _bimodule_matrices(M, N, vt=B.values_tensor,
-                                      vp=B.values_par))
+                   _bimodule_matrices(M, N, vt=B.tensor, vp=B.par))
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +254,14 @@ def validate_qbimodule(B: QBimodule, suite: str = "qbimodule") -> LawReport:
 
 
 def identity_bimodule(M: QCategory) -> QBimodule:
-    return QBimodule(source=M, target=M, values_tensor=M.enrich_tensor,
-                     values_par=M.enrich_par)
+    return _made(M, M, *M.codes)
 
 
 def par_identity_bimodule(M: QCategory) -> QBimodule:
     if not M.is_linear:
         raise NoParStructureError("par identity needs a linear category")
-    return QBimodule(source=M, target=M, values_tensor=M.enrich_par,
-                     values_par=M.enrich_tensor)
-
-
-def _check_composable(t: QBimodule, p: QBimodule) -> None:
-    if t.target != p.source:
-        raise MismatchError("bimodules are not composable")
+    et, ep = M.codes
+    return _made(M, M, ep, et)
 
 
 def _check_parallel(t: QBimodule, p: QBimodule) -> None:
@@ -220,22 +269,13 @@ def _check_parallel(t: QBimodule, p: QBimodule) -> None:
         raise MismatchError("bimodules are not parallel")
 
 
-def _codes(base: FiniteQuantaloid, rows: Sequence[str], cols: Sequence[str],
-           mat: Matrix) -> list[list[int]]:
-    """A matrix's cells as indices into their homs."""
-    return [[base.homs[(a, b)].index(v) for b, v in zip(cols, row)]
-            for a, row in zip(rows, mat)]
-
-
 def _fold(base: FiniteQuantaloid, tensor: bool, rows: Sequence[str],
-          mids: Sequence[str], cols: Sequence[str], A: Matrix,
-          B: Matrix) -> Matrix:
+          mids: Sequence[str], cols: Sequence[str], A: Codes, B: Codes) -> Codes:
     """Cell (r, c) is the join over m of the tensor composites of A's cell
     (r, m) with B's cell (m, c), or else the meet of the par composites."""
     tables = base.coded.tensor if tensor else base.coded.par
     if tables is None:
         raise NoParStructureError("quantaloid has no par layer")
-    A, B = _codes(base, rows, mids, A), _codes(base, mids, cols, B)
     out = []
     for a, a_row in zip(rows, A):
         cells = []
@@ -245,22 +285,21 @@ def _fold(base: FiniteQuantaloid, tensor: bool, rows: Sequence[str],
             acc = hom.index(hom.bottom if tensor else hom.top)
             for b, f, b_row in zip(mids, a_row, B):
                 acc = bound[acc][tables[(a, b, c)][f][b_row[z]]]
-            cells.append(hom.elements[acc])
+            cells.append(acc)
         out.append(tuple(cells))
     return tuple(out)
 
 
 def _compose(T: QBimodule, P: QBimodule, tensor: bool) -> QBimodule:
-    _check_composable(T, P)
+    if T.target != P.source:
+        raise MismatchError("bimodules are not composable")
     base = T.source.base
     M, N, Pc = T.source, T.target, P.target
-    vt = _fold(base, tensor, M.rho, N.rho, Pc.rho,
-               T.values_tensor, P.values_tensor)
+    vt = _fold(base, tensor, M.rho, N.rho, Pc.rho, T.tensor, P.tensor)
     vp = None
     if T.is_linear and P.is_linear:
-        vp = _fold(base, not tensor, Pc.rho, N.rho, M.rho,
-                   P.values_par, T.values_par)
-    return QBimodule(source=M, target=Pc, values_tensor=vt, values_par=vp)
+        vp = _fold(base, not tensor, Pc.rho, N.rho, M.rho, P.par, T.par)
+    return _made(M, Pc, vt, vp)
 
 
 def qmod_compose_tensor(T: QBimodule, P: QBimodule) -> QBimodule:
@@ -277,14 +316,13 @@ def bim_leq(T: QBimodule, P: QBimodule) -> bool:
     """Mixed 2-cell order: tensor parts pointwise up, par parts down."""
     _check_parallel(T, P)
     M, N, homs = T.source, T.target, T.source.base.homs
-    parts = [(M.rho, N.rho, T.values_tensor, P.values_tensor)]
+    parts = [(M.rho, N.rho, T.tensor, P.tensor)]
     if T.is_linear and P.is_linear:
-        parts.append((N.rho, M.rho, P.values_par, T.values_par))
+        parts.append((N.rho, M.rho, P.par, T.par))
     for rows, cols, lower, upper in parts:
         for a, lower_row, upper_row in zip(rows, lower, upper):
             for b, x, y in zip(cols, lower_row, upper_row):
-                hom = homs[(a, b)]
-                if not hom.leq_matrix[hom.index(x)][hom.index(y)]:
+                if not homs[(a, b)].leq_matrix[x][y]:
                     return False
     return True
 
@@ -296,21 +334,16 @@ def _combine(T: QBimodule, P: QBimodule, join: bool) -> QBimodule:
     M, N, homs = T.source, T.target, T.source.base.homs
 
     def cellwise(rows, cols, A, B, join):
-        out = []
-        for a, a_row, b_row in zip(rows, A, B):
-            cells = []
-            for b, x, y in zip(cols, a_row, b_row):
-                hom = homs[(a, b)]
-                bound = hom.join_table if join else hom.meet_table
-                cells.append(hom.elements[bound[hom.index(x)][hom.index(y)]])
-            out.append(tuple(cells))
-        return tuple(out)
+        bound = "join_table" if join else "meet_table"
+        return tuple(tuple(getattr(homs[(a, b)], bound)[x][y]
+                           for b, x, y in zip(cols, a_row, b_row))
+                     for a, a_row, b_row in zip(rows, A, B))
 
-    vt = cellwise(M.rho, N.rho, T.values_tensor, P.values_tensor, join)
+    vt = cellwise(M.rho, N.rho, T.tensor, P.tensor, join)
     vp = None
     if T.is_linear and P.is_linear:
-        vp = cellwise(N.rho, M.rho, T.values_par, P.values_par, not join)
-    return QBimodule(T.source, T.target, vt, vp)
+        vp = cellwise(N.rho, M.rho, T.par, P.par, not join)
+    return _made(M, N, vt, vp)
 
 
 def bim_join(T: QBimodule, P: QBimodule) -> QBimodule:
@@ -325,105 +358,118 @@ def _extreme_bimodule(M: QCategory, N: QCategory, linear: bool, tensor: str,
                       par: str) -> QBimodule:
     """Every tensor value the ``tensor`` extreme ("bottom" or "top") of its
     hom, and every par value the ``par`` extreme."""
+    homs = M.base.homs
+
     def cells(rows, cols, bound):
-        return tuple(tuple(getattr(M.base.hom(a, b), bound) for b in cols)
-                     for a in rows)
-    return QBimodule(M, N, cells(M.rho, N.rho, tensor),
-                     cells(N.rho, M.rho, par) if linear else None)
+        return tuple(tuple(homs[(a, b)].index(getattr(homs[(a, b)], bound))
+                           for b in cols) for a in rows)
+    return _made(M, N, cells(M.rho, N.rho, tensor),
+                 cells(N.rho, M.rho, par) if linear else None)
 
 
 # ---------------------------------------------------------------------------
-# Girard structure in the bimodule bicategory
+# Girard structure in the bimodule bicategory; internal functions take a
+# family as its codes, d[a] the index of its element at object a.
 
 
 def _dual_transpose(base: FiniteQuantaloid, rows: Sequence[str],
-                    cols: Sequence[str], mat: Matrix,
-                    family: Mapping[str, str]) -> Matrix:
+                    cols: Sequence[str], mat: Codes, d: Mapping[str, int]) -> Codes:
     """The entrywise duals of a matrix, transposed: cell (c, r) is the
     largest g with mat[r][c].g below the family element at rows[r].  Each
-    hom's dual map is computed once per base and family element."""
-    duals = {}
-    for a, b in product(set(rows), set(cols)):
-        duals[(a, b)] = _memoized(
-            base, ("qmod-duals", a, b, family[a]),
-            lambda: {f: hom_dual(base, a, b, f, family)
-                     for f in base.hom(a, b).elements})
+    hom's dual map is kept in the base's memo, once per family element."""
+    duals = {(a, b): _memoized(base, ("qmod-duals", a, b, d[a]), lambda: tuple(
+                 _dual_code(base, a, b, f, d[a], False)
+                 for f in range(len(base.homs[(a, b)]))))
+             for a, b in product(set(rows), set(cols))}
     return tuple(tuple(duals[(a, b)][mat[r][c]] for r, a in enumerate(rows))
                  for c, b in enumerate(cols))
 
 
-def _delta_matrix(M: QCategory, family: Mapping[str, str]) -> Matrix:
-    return _dual_transpose(M.base, M.rho, M.rho, M.enrich_tensor, family)
+def _delta_matrix(M: QCategory, d: Mapping[str, int]) -> Codes:
+    return _dual_transpose(M.base, M.rho, M.rho, M.codes[0], d)
 
 
-def _require_girard(base: FiniteQuantaloid, family: Mapping[str, str]) -> None:
+def _require_girard(base: FiniteQuantaloid,
+                    family: Mapping[str, str]) -> dict[str, int]:
+    """The family's codes, once it is found cyclic dualizing on the base."""
     if not check_girard_family(base, family).ok:
         raise NotGirardError("family is not cyclic dualizing on the base")
+    return _family_codes(base, family)
 
 
 def qmod_delta(M: QCategory, family: Mapping[str, str]) -> QBimodule:
     """The dualizing endo-bimodule: entrywise dual of the reversed
     enrichment against the family."""
-    _require_girard(M.base, family)
-    return QBimodule(source=M, target=M, values_tensor=_delta_matrix(M, family))
+    return _made(M, M, _delta_matrix(M, _require_girard(M.base, family)))
 
 
 def second_enrichment(M: QCategory, family: Mapping[str, str]) -> QCategory:
     """Extend a plain category with the dual enrichment as its par part."""
-    _require_girard(M.base, family)
-    return _second_enrichment(M, family)
+    return _second_enrichment(M, _require_girard(M.base, family))
 
 
-def _second_enrichment(M: QCategory, family: Mapping[str, str]) -> QCategory:
-    return QCategory(base=M.base, members=M.members, rho=M.rho,
-                     enrich_tensor=M.enrich_tensor,
-                     enrich_par=_delta_matrix(M, family))
+def _second_enrichment(M: QCategory, d: Mapping[str, int]) -> QCategory:
+    return _category(M.base, M.members, M.rho, M.codes[0], _delta_matrix(M, d))
 
 
-def _join_below(hom: FiniteLattice, bounds) -> str:
-    """The join of the g in `hom` whose composites stay below their
-    bounds; `bounds` holds (composite at each g, order, bound) triples."""
-    join = hom.join_table
-    acc = hom.index(hom.bottom)
-    for g in range(len(hom)):
-        if all(leq[composites[g]][d] for composites, leq, d in bounds):
-            acc = join[acc][g]
-    return hom.elements[acc]
+def _residual_masks(base: FiniteQuantaloid, a: str, b: str, c: str,
+                    left: bool) -> tuple[tuple[int, ...], ...]:
+    """Bitmasks of the tensor on the triple (a, b, c), kept in the base's
+    memo: entry [f][h] marks (bit g) every g in hom(b, c) with f.g below h,
+    or with `left` every g in hom(a, b) with g.f below h, f in hom(b, c).
+    A residual cell joins the elements below every bound, so ANDing its
+    middle members' masks is exact on every base, unlike a meet of
+    per-member residuals where the composition does not preserve joins."""
+    def build():
+        table = base.coded.tensor[(a, b, c)]
+        below = base.homs[(a, c)].leq_matrix
+        return tuple(tuple(sum(1 << g for g, v in enumerate(row) if below[v][h])
+                           for h in range(len(below)))
+                     for row in (zip(*table) if left else table))
+    return _memoized(base, ("qmod-residual-masks", left, a, b, c), build)
+
+
+def _join_marked(hom: FiniteLattice, masks: list[int]) -> int:
+    """The join of the elements of `hom` marked in every mask."""
+    mask = reduce(operator.and_, masks, (1 << len(hom)) - 1)
+    join, acc = hom.join_table, hom.index(hom.bottom)
+    while mask:
+        low = mask & -mask
+        acc = join[acc][low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
+def _right_extension(T: QBimodule, H: QBimodule) -> QBimodule:
+    if T.source != H.source:
+        raise MismatchError("extension needs a common source")
+    M, N, P = T.source, T.target, H.target
+    base, t, h = M.base, T.tensor, H.tensor
+    return _made(N, P, tuple(tuple(_join_marked(base.homs[(b, c)], [
+        _residual_masks(base, a, b, c, False)[t[x][y]][h[x][z]]
+        for x, a in enumerate(M.rho)]) for z, c in enumerate(P.rho))
+        for y, b in enumerate(N.rho)))
+
+
+def _right_lifting(H: QBimodule, T: QBimodule) -> QBimodule:
+    if T.target != H.target:
+        raise MismatchError("lifting needs a common target")
+    M, N, P = T.source, T.target, H.source
+    base, t, h = M.base, T.tensor, H.tensor
+    return _made(P, M, tuple(tuple(_join_marked(base.homs[(c, a)], [
+        _residual_masks(base, c, a, b, True)[t[x][y]][h[z][y]]
+        for y, b in enumerate(N.rho)]) for x, a in enumerate(M.rho))
+        for z, c in enumerate(P.rho)))
 
 
 def qmod_right_extension(T: QBimodule, H: QBimodule) -> Matrix:
     """Largest matrix S with T (x) S <= H; T: M->N, H: M->P, S: N->P."""
-    if T.source != H.source:
-        raise MismatchError("extension needs a common source")
-    base = T.source.base
-    M, N, P = T.source, T.target, H.target
-    t = _codes(base, M.rho, N.rho, T.values_tensor)
-    h = _codes(base, M.rho, P.rho, H.values_tensor)
-    tensor, homs = base.coded.tensor, base.homs
-    return tuple(
-        tuple(_join_below(homs[(b, c)], [
-            (tensor[(a, b, c)][t[x][y]], homs[(a, c)].leq_matrix, h[x][z])
-            for x, a in enumerate(M.rho)])
-            for z, c in enumerate(P.rho))
-        for y, b in enumerate(N.rho))
+    return _right_extension(T, H).values_tensor
 
 
 def qmod_right_lifting(H: QBimodule, T: QBimodule) -> Matrix:
     """Largest matrix S with S (x) T <= H; T: M->N, H: P->N, S: P->M."""
-    if T.target != H.target:
-        raise MismatchError("lifting needs a common target")
-    base = T.source.base
-    M, N, P = T.source, T.target, H.source
-    t = _codes(base, M.rho, N.rho, T.values_tensor)
-    h = _codes(base, P.rho, N.rho, H.values_tensor)
-    tensor, homs = base.coded.tensor, base.homs
-    return tuple(
-        tuple(_join_below(homs[(c, a)], [
-            ([row[t[x][y]] for row in tensor[(c, a, b)]],
-             homs[(c, b)].leq_matrix, h[z][y])
-            for y, b in enumerate(N.rho)])
-            for x, a in enumerate(M.rho))
-        for z, c in enumerate(P.rho))
+    return _right_lifting(H, T).values_tensor
 
 
 def check_girard_qmod(base: FiniteQuantaloid, family: Mapping[str, str],
@@ -435,24 +481,28 @@ def check_girard_qmod(base: FiniteQuantaloid, family: Mapping[str, str],
     Law failures are reported, never raised, so an arbitrary candidate
     family can be probed; only shape errors raise.
     """
-    for a in base.objects:
-        base.hom(a, a).index(family[a])
+    d = _family_codes(base, family)
+    deltas: dict[QCategory, QBimodule] = {}  # each category's, made once
+
+    def delta(M: QCategory) -> QBimodule:
+        if M not in deltas:
+            deltas[M] = _made(M, M, _delta_matrix(M, d))
+        return deltas[M]
+
     cyc_wit = None
     dd_wit = None
     for T in bimodules:
-        dM = QBimodule(T.source, T.source, _delta_matrix(T.source, family))
-        dN = QBimodule(T.target, T.target, _delta_matrix(T.target, family))
-        ext = qmod_right_extension(T, dM)
-        lift = qmod_right_lifting(dN, T)
+        dN = delta(T.target)
+        ext = _right_extension(T, delta(T.source))
+        lift = _right_lifting(dN, T)
         if cyc_wit is None and ext != lift:
             cyc_wit = {"theta": [list(r) for r in T.values_tensor],
-                       "extension": [list(r) for r in ext],
-                       "lifting": [list(r) for r in lift]}
-        dual = QBimodule(T.target, T.source, ext)
-        double = qmod_right_extension(dual, dN)
-        if dd_wit is None and double != T.values_tensor:
+                       "extension": [list(r) for r in ext.values_tensor],
+                       "lifting": [list(r) for r in lift.values_tensor]}
+        double = _right_extension(ext, dN)
+        if dd_wit is None and double.tensor != T.tensor:
             dd_wit = {"theta": [list(r) for r in T.values_tensor],
-                      "double": [list(r) for r in double]}
+                      "double": [list(r) for r in double.values_tensor]}
         if cyc_wit and dd_wit:
             break
     return LawReport(suite, (
@@ -464,32 +514,29 @@ def check_girard_qmod(base: FiniteQuantaloid, family: Mapping[str, str],
 def qmod_linear_adjoint(T: QBimodule, family: Mapping[str, str]) -> QBimodule:
     """Right linear adjoint over a Girard base: dualized tensor part, with
     the original tensor part as the new par part."""
-    _require_girard(T.source.base, family)
-    return _qmod_linear_adjoint(T, family)
+    return _qmod_linear_adjoint(T, _require_girard(T.source.base, family))
 
 
-def _qmod_linear_adjoint(T: QBimodule, family: Mapping[str, str]) -> QBimodule:
+def _qmod_linear_adjoint(T: QBimodule, d: Mapping[str, int]) -> QBimodule:
     M, N = T.source, T.target
-    vt = _dual_transpose(M.base, M.rho, N.rho, T.values_tensor, family)
-    return QBimodule(source=N, target=M, values_tensor=vt,
-                     values_par=tuple(map(tuple, T.values_tensor)))
+    return _made(N, M, _dual_transpose(M.base, M.rho, N.rho, T.tensor, d),
+                 T.tensor)
 
 
 def girard_linear_bimodule(T: QBimodule, family: Mapping[str, str]) -> QBimodule:
     """Canonically linearize a plain bimodule over a Girard base: endpoints
     get their dual second enrichment, the par values are the dualized
     transpose.  The linear adjunction facts hold for this structure."""
-    if not (T.source.is_linear and T.target.is_linear):
-        _require_girard(T.source.base, family)
-    return _girard_linear_bimodule(T, family)
+    linear = T.source.is_linear and T.target.is_linear
+    codes = _family_codes if linear else _require_girard
+    return _girard_linear_bimodule(T, codes(T.source.base, family))
 
 
-def _girard_linear_bimodule(T: QBimodule, family: Mapping[str, str]) -> QBimodule:
-    M = T.source if T.source.is_linear else _second_enrichment(T.source, family)
-    N = T.target if T.target.is_linear else _second_enrichment(T.target, family)
-    vp = _dual_transpose(M.base, M.rho, N.rho, T.values_tensor, family)
-    return QBimodule(source=M, target=N, values_tensor=T.values_tensor,
-                     values_par=vp)
+def _girard_linear_bimodule(T: QBimodule, d: Mapping[str, int]) -> QBimodule:
+    M = T.source if T.source.is_linear else _second_enrichment(T.source, d)
+    N = T.target if T.target.is_linear else _second_enrichment(T.target, d)
+    return _made(M, N, T.tensor,
+                 _dual_transpose(M.base, M.rho, N.rho, T.tensor, d))
 
 
 def check_qmod_linear_adjoint(T: QBimodule, P: QBimodule) -> bool:
@@ -513,9 +560,10 @@ def enumerate_qcategories(base: FiniteQuantaloid, members: Sequence[str],
     order: the tensor enrichment's cells, then the par enrichment's."""
     members, rho = tuple(members), tuple(rho)
     laws = _QCAT_LAWS + (_LINEAR_QCAT_LAWS if linear else ())
-    found = _search(base, laws, {"x": rho}, {}, ("et", "ep")[:1 + linear])
+    found = _search(base, laws, {"x": rho}, {}, ("et", "ep")[:1 + linear],
+                    names=False)
     for mats in islice(found, limit):
-        yield QCategory(base, members, rho, *mats)
+        yield _category(base, members, rho, *mats)
 
 
 def enumerate_qbimodules(M: QCategory, N: QCategory, linear: bool = False,
@@ -527,11 +575,11 @@ def enumerate_qbimodules(M: QCategory, N: QCategory, linear: bool = False,
         raise MismatchError("linear bimodules need linear endpoint categories")
     laws = _QBIM_LAWS + (_LINEAR_QBIM_LAWS if linear else ())
     search = partial(_search, M.base, laws, {"x": M.rho, "y": N.rho},
-                     _bimodule_matrices(M, N))
+                     _bimodule_matrices(M, N), names=False)
     # The first valid tensor part is paired with every par part before the
     # next one is, so no limit needs more than `limit` par parts.
     pars = list(islice(search(("vp",)), limit)) if linear else [(None,)]
-    found = (QBimodule(M, N, vt, vp) for vt, in search(("vt",)) for vp, in pars)
+    found = (_made(M, N, vt, vp) for vt, in search(("vt",)) for vp, in pars)
     return list(islice(found, limit))
 
 
@@ -699,10 +747,10 @@ def check_second_enrichment(M: QCategory, family: Mapping[str, str],
                             suite: str = "second-enrichment") -> LawReport:
     """The dual enrichment satisfies the par-side category laws and the
     action laws together with their dual images."""
-    ep = second_enrichment(M, family).enrich_par
-    fam = tuple((family[a],) * len(M) for a in M.rho)
+    d = _require_girard(M.base, family)
+    fam = tuple((d[a],) * len(M) for a in M.rho)
     return _report(suite, _SECOND_ENRICHMENT_LAWS, {"x": M},
-                   {"et": M.enrich_tensor, "ep": ep, "fam": fam})
+                   {"et": M.codes[0], "ep": _delta_matrix(M, d), "fam": fam})
 
 
 def check_dual_bimodule(T: QBimodule, family: Mapping[str, str],
@@ -710,10 +758,10 @@ def check_dual_bimodule(T: QBimodule, family: Mapping[str, str],
     """The entrywise dual of a bimodule satisfies the coaction laws and
     the action laws with their dual images."""
     M, N = T.source, T.target
+    d = _family_codes(M.base, family)
     mats = _bimodule_matrices(
-        M, N, vt=T.values_tensor,
-        vp=_qmod_linear_adjoint(T, family).values_tensor,
-        Mp=_delta_matrix(M, family), Np=_delta_matrix(N, family))
+        M, N, vt=T.tensor, vp=_qmod_linear_adjoint(T, d).tensor,
+        Mp=_delta_matrix(M, d), Np=_delta_matrix(N, d))
     return _report(suite, _DUAL_BIMODULE_LAWS, {"x": M, "y": N}, mats)
 
 

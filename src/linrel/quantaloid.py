@@ -148,6 +148,7 @@ def _memoized(Q: FiniteQuantaloid, key: tuple,
 # the monads below.
 
 Matrix = tuple[tuple[str, ...], ...]
+Codes = tuple[tuple[int, ...], ...]  # a matrix's cells as indices into their homs
 Term = str | tuple[str, ...]
 
 
@@ -253,17 +254,18 @@ class _Plan:
     laws: tuple[tuple[tuple[tuple[int, ...], tuple, bool], ...], ...]
     by_cell: tuple[tuple[tuple, ...], ...]  # checks by last filled cell
 
-    def load(self, mats: Mapping) -> list[int]:
+    def load(self, mats: Mapping, names: bool) -> list[int]:
         v = [0] * len(self.homs)
         for s, value in self.units:
             v[s] = value
         for m, r, c, s in self.given:
-            v[s] = self.homs[s].index(mats[m][r][c])
+            v[s] = self.homs[s].index(mats[m][r][c]) if names else mats[m][r][c]
         return v
 
-    def decode(self, v: list[int]) -> tuple[Matrix, ...]:
+    def decode(self, v: list[int], names: bool) -> tuple[Matrix | Codes, ...]:
         homs = self.homs
-        return tuple(tuple(tuple(homs[s].elements[v[s]] for s in row)
+        return tuple(tuple(tuple(homs[s].elements[v[s]] if names else v[s]
+                                 for s in row)
                            for row in grid) for grid in self.fill)
 
 
@@ -345,12 +347,13 @@ def _compile(base: FiniteQuantaloid, laws: tuple[_Law, ...], rhos: Mapping,
 
 def _law_report(suite: str, laws: tuple[_Law, ...], base: FiniteQuantaloid,
                 rhos: Mapping, mats: Mapping,
-                witness: Callable[[_Law, tuple, str, str], dict]) -> LawReport:
+                witness: Callable[[_Law, tuple, str, str], dict],
+                names: bool = True) -> LawReport:
     """Each law with ``witness(law, loop, lhs, rhs)`` at its first failing
-    index tuple."""
+    index tuple; `mats` and `names` as for `_search`."""
     mats = {m: mat for m, mat in mats.items() if mat is not None}
     plan = _plan(base, laws, rhos, frozenset(mats), ())
-    v = plan.load(mats)
+    v = plan.load(mats, names)
     entries = []
     for law, checks in zip(laws, plan.laws):
         wit = None
@@ -366,8 +369,10 @@ def _law_report(suite: str, laws: tuple[_Law, ...], base: FiniteQuantaloid,
 
 
 def _search(base: FiniteQuantaloid, laws: tuple[_Law, ...], rhos: Mapping,
-            mats: Mapping, fill: tuple[str, ...]) -> Iterator[tuple[Matrix, ...]]:
-    """Every filling of the matrices in `fill` on which the laws hold.
+            mats: Mapping, fill: tuple[str, ...],
+            names: bool = True) -> Iterator[tuple[Matrix | Codes, ...]]:
+    """Every filling of the matrices in `fill` on which the laws hold, as
+    element names, or as hom indices unless `names` (so are `mats`).
 
     The cells (row-major, one matrix after another) take their hom's
     elements in order with the last cell varying fastest, which is
@@ -377,10 +382,10 @@ def _search(base: FiniteQuantaloid, laws: tuple[_Law, ...], rhos: Mapping,
     so a failing prefix is cut off with all its extensions.
     """
     plan = _plan(base, laws, rhos, frozenset(mats), fill)
-    v = plan.load(mats)
+    v = plan.load(mats, names)
     homs, checks = plan.homs, plan.by_cell
     if not checks:
-        yield plan.decode(v)
+        yield plan.decode(v, names)
         return
     # Depth-first over an explicit stack of index iterators, one per set
     # cell.  A nested generator recursing into itself would hold itself
@@ -402,7 +407,7 @@ def _search(base: FiniteQuantaloid, laws: tuple[_Law, ...], rhos: Mapping,
         if k + 1 < len(checks):
             stack.append(iter(range(len(homs[k + 1]))))
         else:
-            yield plan.decode(v)
+            yield plan.decode(v, names)
 
 
 def _object_names(objects) -> tuple[Obj, ...]:
@@ -634,13 +639,17 @@ def hom_dual_left(Q: FiniteQuantaloid, a: Obj, b: Obj, f: str,
     return _hom_dual(Q, a, b, f, family, left=True)
 
 
-def check_girard_family(Q: FiniteQuantaloid, family: Mapping[Obj, str],
-                        suite: str = "girard-family") -> LawReport:
-    d = {}
+def _family_codes(Q: FiniteQuantaloid, family: Mapping[Obj, str]) -> dict[Obj, int]:
+    """The family's element at each object, as an index into its endo-hom."""
     for a in Q.objects:
         if a not in family:
             raise MismatchError(f"family is missing object {a!r}")
-        d[a] = Q.hom(a, a).index(family[a])
+    return {a: Q.hom(a, a).index(family[a]) for a in Q.objects}
+
+
+def check_girard_family(Q: FiniteQuantaloid, family: Mapping[Obj, str],
+                        suite: str = "girard-family") -> LawReport:
+    d = _family_codes(Q, family)
     pairs = list(product(Q.objects, repeat=2))
 
     def duals(left: bool) -> dict[Hom, list[int]]:

@@ -34,8 +34,10 @@ from .quantale import (
 )
 from .qmod import (
     _girard_linear_bimodule,
+    _made,
     _qmod_linear_adjoint,
     _require_girard,
+    _second_enrichment,
     bim_leq,
     check_girard_qmod,
     discrete_qcategory,
@@ -607,15 +609,16 @@ def _thm_qmod_closed(entry: CatalogEntry, sampler: Sampler,
         raise NotGirardError(f"{entry.name!r} has no Girard structure")
     family = {obj: entry.girard.dualizer}
     cats = sample_linear_categories(base, per_shape=3, linear=False)
-    # the family is checked once here, not once per bimodule
-    _require_girard(base, family)
+    # the family is checked, and each category linearized, once, not per bimodule
+    d = _require_girard(base, family)
+    linear = [_second_enrichment(A, d) for A in cats]
     unit_wit = None
     counit_wit = None
-    for A in cats:
-        for B in cats:
+    for A, LA in zip(cats, linear):
+        for B, LB in zip(cats, linear):
             for t in enumerate_qbimodules(A, B, limit=4):
-                lt = _girard_linear_bimodule(t, family)
-                adj = _qmod_linear_adjoint(lt, family)
+                lt = _girard_linear_bimodule(_made(LA, LB, t.tensor), d)
+                adj = _qmod_linear_adjoint(lt, d)
                 if unit_wit is None and not bim_leq(
                         identity_bimodule(lt.source),
                         qmod_compose_par(lt, adj)):

@@ -33,13 +33,14 @@ from linrel.qrel import (
 )
 from linrel.quantale import quantale_from_json
 from linrel.quantaloid import (
+    _Plan,
     check_quantaloid_laws,
     linear_monq_quantaloid,
     monads_of,
     monq_quantaloid,
     one_object_quantaloid,
 )
-from linrel.verify import build_catalog, catalog_entry
+from linrel.verify import build_catalog, catalog_entry, run_theorem
 
 QUANTALE_FILES = {
     "zinf": {"kind": "zinf", "flavor": "tropical", "dualizer": 0},
@@ -106,6 +107,33 @@ def test_base_memo_leaves_no_cycles(name):
         check_quantaloid_laws(linear_monq_quantaloid(base))
 
     assert garbage_left_by(work) == 0
+
+
+def ints_only(value) -> bool:
+    return isinstance(value, int) or (
+        isinstance(value, tuple) and all(map(ints_only, value)))
+
+
+@pytest.mark.parametrize("name", ["bool", "diamond"])
+def test_girard_theorems_leave_no_cycles(name):
+    """The Girard Q-Mod drivers on a fresh base keep only integer tables in
+    its memo (dual maps and residual masks), besides the law plans the
+    search compiles, so no category, bimodule or base outlives them there."""
+    memos = []
+
+    def work():
+        entry = build_catalog(10, (name,))[name]
+        for theorem in ("girard-qmod", "qmod-closed"):
+            assert run_theorem(theorem, entry).ok
+        memos.append(entry.base.memo)
+
+    assert garbage_left_by(work) == 0
+    for memo in memos:
+        tables = {key[0] for key, value in memo.items()
+                  if not isinstance(value, _Plan)}
+        assert tables == {"qmod-duals", "qmod-residual-masks"}
+        assert all(ints_only(value) for value in memo.values()
+                   if not isinstance(value, _Plan))
 
 
 def test_catalog_build_leaves_no_cycles():

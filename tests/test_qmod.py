@@ -230,6 +230,18 @@ def test_girard_qmod_chain3_fails_with_witness():
         qmod_delta(M, {"*": "m"})
 
 
+def test_girard_qmod_needs_a_family_element_at_every_object():
+    # it once died with a bare KeyError, where the family check and
+    # qmod_delta name the missing object
+    base = bool_base()
+    M = discrete_qcategory(base, ("x",), ("*",))
+    bims = enumerate_qbimodules(M, M)
+    for check in (lambda: check_girard_qmod(base, {}, bims),
+                  lambda: qmod_delta(M, {})):
+        with pytest.raises(MismatchError, match="family is missing object '\\*'"):
+            check()
+
+
 def test_extension_and_lifting_cyclicity():
     base = bool_base()
     cats = bool_preorders()
