@@ -12,7 +12,8 @@ whose cells are hom elements between its objects.  Each level supplies a
 axiom against that record, so the levels share the law bodies and differ
 only in how they draw cases and encode witnesses.  A quantaloid's cases
 run over tuples of its objects (:data:`OBJECT_CASES`), and its absorption
-laws over a third, context object.
+laws over a third, context object.  The unit and counit of a linear
+adjunction (:data:`ADJOINT_LAWS`) are stated on the same record.
 """
 
 from __future__ import annotations
@@ -180,6 +181,22 @@ OBJECT_CASES: dict[str, tuple[tuple[str | None, Any], ...]] = {
     for label, case in zip(LAW_GROUPS[group][-2:], _ABSORPTION_CASES,
                            strict=True)
 }
+
+
+def adjoint_unit(c: Calculus, f: Cell, g: Cell) -> bool:
+    """The unit of a linear adjunction, f: X->Y with g: Y->X: the tensor
+    identity on X lies below f par g."""
+    return c.leq(c.id_top(f, c.source(f)), c.par(f, g))
+
+
+def adjoint_counit(c: Calculus, f: Cell, g: Cell) -> bool:
+    """The counit: g tensor f lies below the par identity on Y."""
+    return c.leq(c.tensor(g, f), c.id_bot(f, c.target(f)))
+
+
+# label -> the law on a cell and its candidate linear adjoint, unit first.
+ADJOINT_LAWS: dict[str, Callable[[Calculus, Cell, Cell], bool]] = dict(zip(
+    LAW_GROUPS["linear-adjunction"], (adjoint_unit, adjoint_counit), strict=True))
 
 
 def sides(law: Law, calc: Calculus, case, one_cell: bool) -> dict:

@@ -24,7 +24,7 @@ from .errors import (
     NotGirardError,
 )
 from .lattice import FiniteLattice
-from .laws import LAWS, OBJECT_CASES, SHAPE_SLOTS, Calculus
+from .laws import ADJOINT_LAWS, LAWS, OBJECT_CASES, SHAPE_SLOTS, Calculus
 from .quantaloid import (
     _LINEAR_QBIM_LAWS,
     _LINEAR_QCAT_LAWS,
@@ -46,7 +46,7 @@ from .quantaloid import (
     hom_dual,
     linear_monq_quantaloid,
 )
-from .report import LawReport, Sampler, law_entry
+from .report import LawReport, Sampler, law_entry, theorem_report
 
 
 # Where element names come in and go out; a missing matrix stays None.
@@ -544,9 +544,7 @@ def check_qmod_linear_adjoint(T: QBimodule, P: QBimodule) -> bool:
     the par identity, in the mixed order."""
     if T.source != P.target or T.target != P.source:
         raise MismatchError("candidate adjoint has the wrong boundary")
-    M, N = T.source, T.target
-    return (bim_leq(identity_bimodule(M), qmod_compose_par(T, P))
-            and bim_leq(qmod_compose_tensor(P, T), par_identity_bimodule(N)))
+    return all(law(QMOD_CALCULUS, T, P) for law in ADJOINT_LAWS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -626,15 +624,6 @@ def sample_linear_categories(base: FiniteQuantaloid, sizes: Sequence[int] = (1, 
     return cats
 
 
-def _theorem(suite: str, entries: Iterable, mode: str, forward=None,
-             backward=None, transfer=None) -> LawReport:
-    """`entries` followed by the two implications and the transfer."""
-    return LawReport(suite, (*entries,
-                             law_entry("theorem-forward", forward, mode),
-                             law_entry("theorem-backward", backward, mode),
-                             law_entry("theorem-transfer", transfer, mode)))
-
-
 def verify_linear_quantaloid_theorems(Q: FiniteQuantaloid,
                                       suite: str = "linear-monq-theorem",
                                       ) -> LawReport:
@@ -648,24 +637,24 @@ def verify_linear_quantaloid_theorems(Q: FiniteQuantaloid,
     derived = check_quantaloid_laws(linear_monq_quantaloid(Q),
                                     suite=f"{suite}:monq")
     fail = None if derived.ok else derived.failing()[0]
-    return _theorem(suite, base.entries, "exhaustive",
-                    forward=fail and {"law": fail.law, "witness": fail.witness})
+    return theorem_report(suite, "exhaustive", base.entries, True, derived.ok,
+                          forward=fail and {"law": fail.law,
+                                            "witness": fail.witness})
 
 
 def _failed_base_report(suite: str, Q: FiniteQuantaloid,
                         base: LawReport) -> LawReport:
-    """The theorem report on a base whose laws fail: the forward
-    implication holds vacuously, and the backward one holds when the first
-    failure transfers to the linear monad construction.  Whether it does
-    is decided once per base."""
+    """The theorem report on a base whose laws fail: the derived side
+    holds unless the first failure transfers to the linear monad
+    construction.  Whether it does is decided once per base."""
     fail = base.failing()[0]
-    if _memoized(Q, ("linear-transfer",),
-                 partial(_transfer_reproduces, Q, fail.law, fail.witness)):
-        return _theorem(suite, base.entries, "exhaustive")
-    return _theorem(suite, base.entries, "exhaustive",
-                    backward={"law": fail.law,
-                              "note": "transfer did not reproduce"},
-                    transfer={"law": fail.law, "witness": fail.witness})
+    reproduced = _memoized(Q, ("linear-transfer",), partial(
+        _transfer_reproduces, Q, fail.law, fail.witness))
+    return theorem_report(
+        suite, "exhaustive", base.entries, False, not reproduced,
+        backward={"law": fail.law, "note": "transfer did not reproduce"},
+        transfer=None if reproduced else {"law": fail.law,
+                                          "witness": fail.witness})
 
 
 def _transfer_reproduces(base: FiniteQuantaloid, label: str,
@@ -735,8 +724,8 @@ def verify_linear_qmod_theorem(base: FiniteQuantaloid, sampler: Sampler,
                 first_fail = first_fail or label
                 break
         entries.append(law_entry(label, wit, mode))
-    return _theorem(suite, entries, mode,
-                    forward=first_fail and {"law": first_fail})
+    return theorem_report(suite, mode, entries, True, first_fail is None,
+                          forward=first_fail and {"law": first_fail})
 
 
 # ---------------------------------------------------------------------------

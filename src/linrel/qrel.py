@@ -28,7 +28,7 @@ from .errors import (
     NotGirardError,
     UnknownElementError,
 )
-from .laws import LAWS, SHAPE_SLOTS, WITNESS_KEYS, Calculus
+from .laws import ADJOINT_LAWS, LAWS, SHAPE_SLOTS, WITNESS_KEYS, Calculus
 from .quantale import MINUS_INF, PLUS_INF, Elem, IndexTables, Quantale
 from .report import LawReport, Sampler, law_entry
 
@@ -401,10 +401,20 @@ def check_linear_adjoint(A: QRelation, B: QRelation) -> bool:
     if A.source != B.target or A.target != B.source or A.ambient != B.ambient:
         raise MismatchError("candidate adjoint has the wrong boundary")
     _require_par(A.ambient)
-    X, Y = A.source, A.target
-    amb = A.ambient
-    return (rel_leq(id_top(X, amb), compose_par(A, B))
-            and rel_leq(compose_tensor(B, A), id_bot(Y, amb)))
+    return all(law(QREL_CALCULUS, A, B) for law in ADJOINT_LAWS.values())
+
+
+def girard_cyclic(r: QRelation, d: Elem) -> bool:
+    """The right extension of r into the diagonal family of ``d`` equals
+    the right lifting of that family through r."""
+    ext = right_extension(r, dual_family(r.source, r.ambient, d))
+    lift = right_lifting(dual_family(r.target, r.ambient, d), r)
+    return ext.values == lift.values
+
+
+def girard_double_dual(r: QRelation, d: Elem) -> bool:
+    """Dualizing r twice against ``d`` gives r back."""
+    return rel_dual(rel_dual(r, d), d).values == r.values
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +608,14 @@ def _case_witness(rels: tuple[QRelation, ...]) -> dict:
     return wit
 
 
+def _first_witness(cases, pred) -> dict | None:
+    """The shrunk witness of the first case on which ``pred`` fails."""
+    for case in cases:
+        if not pred(case):
+            return _case_witness(_shrink_case(case, pred))
+    return None
+
+
 def verify_qrel_laws(amb: Quantale, sets: Sequence[FiniteSet], sampler: Sampler,
                      suite: str = "qrel-laws",
                      labels: Sequence[str] | None = None) -> LawReport:
@@ -616,13 +634,7 @@ def verify_qrel_laws(amb: Quantale, sets: Sequence[FiniteSet], sampler: Sampler,
         if shape not in draws:
             draws[shape] = sample_relation_tuples(amb, sets, sampler, shape)
         mode, cases = draws[shape]
-        wit = None
-        for case in cases:
-            if not pred(case):
-                shrunk = _shrink_case(case, lambda c: pred(c))
-                wit = _case_witness(shrunk)
-                break
-        entries.append(law_entry(label, wit, mode))
+        entries.append(law_entry(label, _first_witness(cases, pred), mode))
     return LawReport(suite, tuple(entries))
 
 
@@ -635,27 +647,11 @@ def check_girard_qrel(amb: Quantale, sets: Sequence[FiniteSet], sampler: Sampler
         if d is None:
             raise NotGirardError("check needs a dualizer")
     mode, cases = sample_relation_tuples(amb, sets, sampler, "chain1")
-
-    def cyclic(rels):
-        (r,) = rels
-        ext = right_extension(r, dual_family(r.source, r.ambient, d))
-        lift = right_lifting(dual_family(r.target, r.ambient, d), r)
-        return ext.values == lift.values
-
-    def double_dual(rels):
-        (r,) = rels
-        return rel_dual(rel_dual(r, d), d).values == r.values
-
     entries = []
-    for label, pred in (("girard-cyclic", cyclic), ("girard-double-dual", double_dual)):
-        wit = None
-        for case in cases:
-            if not pred(case):
-                shrunk = _shrink_case(case, lambda c: pred(c))
-                wit = _case_witness(shrunk)
-                wit["dualizer"] = d
-                break
-        entries.append(law_entry(label, wit, mode))
+    for label, holds in (("girard-cyclic", girard_cyclic),
+                         ("girard-double-dual", girard_double_dual)):
+        wit = _first_witness(cases, lambda rels, holds=holds: holds(*rels, d))
+        entries.append(law_entry(label, wit and {**wit, "dualizer": d}, mode))
     return LawReport(suite, tuple(entries))
 
 

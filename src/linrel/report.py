@@ -207,6 +207,37 @@ class LawReport:
         return "\n".join(lines)
 
 
+def side_entry(label: str, report: LawReport, mode: str) -> LawEntry:
+    """One entry for a whole sub-report, carrying its first failure."""
+    if report.ok:
+        return law_entry(label, None, mode)
+    fail = report.failing()[0]
+    # a copy: ``ldq`` passes the catalog's stored report, which every
+    # request shares
+    return law_entry(label, {"law": fail.law, "witness": dict(fail.witness)},
+                     mode)
+
+
+def theorem_report(suite: str, mode: str, entries, base_ok: bool,
+                   derived_ok: bool, forward: dict | None = None,
+                   backward: dict | None = None,
+                   transfer: dict | None = None) -> LawReport:
+    """A theorem "base holds iff derived side holds": ``entries``, then its
+    two implications and the transfer of a base failure.
+
+    An implication fails only when its premise holds and its conclusion
+    does not, with the note ``forward`` or ``backward`` (or a default);
+    the transfer fails with ``transfer`` when that is given.
+    """
+    return LawReport(suite, (
+        *entries,
+        law_entry("theorem-forward", None if not base_ok or derived_ok else
+                  forward or {"note": "base holds, derived side fails"}, mode),
+        law_entry("theorem-backward", None if not derived_ok or base_ok else
+                  backward or {"note": "derived holds, base fails"}, mode),
+        law_entry("theorem-transfer", transfer, mode)))
+
+
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
 

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 from .errors import MismatchError, NotClosedError, NotGirardError, UnknownElementError
 from .lattice import build_lattice, chain
+from .laws import ADJOINT_LAWS, Calculus
 from .quantale import (
     MINUS_INF,
     PLUS_INF,
@@ -33,39 +34,30 @@ from .quantale import (
     with_dualizer,
 )
 from .qmod import (
+    QMOD_CALCULUS,
     _girard_linear_bimodule,
     _made,
     _qmod_linear_adjoint,
     _require_girard,
     _second_enrichment,
-    bim_leq,
     check_girard_qmod,
     discrete_qcategory,
     enumerate_qbimodules,
-    identity_bimodule,
-    par_identity_bimodule,
-    qmod_compose_par,
-    qmod_compose_tensor,
     qmod_delta,
     sample_linear_categories,
     verify_linear_qmod_theorem,
     verify_linear_quantaloid_theorems,
 )
 from .qrel import (
+    QREL_CALCULUS,
     FiniteSet,
     check_girard_qrel,
     check_linear_adjoint,
-    compose_par,
-    compose_tensor,
-    dual_family,
     finite_set,
-    id_bot,
-    id_top,
+    girard_cyclic,
+    girard_double_dual,
     rel_dual,
-    rel_leq,
     relation,
-    right_extension,
-    right_lifting,
     sample_relation_tuples,
     transfer_quantale_witness,
     verify_qrel_laws,
@@ -79,7 +71,7 @@ from .quantaloid import (
     monq_quantaloid,
     one_object_quantaloid,
 )
-from .report import LAW_GROUPS, LawEntry, LawReport, Sampler, law_entry
+from .report import LAW_GROUPS, LawReport, Sampler, law_entry, side_entry, theorem_report
 
 # ---------------------------------------------------------------------------
 # Oracles: independent code paths used to cross-check the quantale machinery
@@ -338,29 +330,28 @@ def default_sets(max_size: int = 2) -> list[FiniteSet]:
 # Theorem drivers
 
 
-def _side_entry(label: str, report: LawReport, mode: str) -> LawEntry:
-    if report.ok:
-        return law_entry(label, None, mode)
-    fail = report.failing()[0]
-    # a copy: ``ldq`` passes the catalog's stored report, which every
-    # request shares
-    return law_entry(label, {"law": fail.law, "witness": dict(fail.witness)},
-                     mode)
+def _sound_base(suite: str, mode: str, derived: LawReport,
+                transfer: dict | None = None) -> LawReport:
+    """The theorem report over a base that holds, with the derived side's
+    report as one entry."""
+    return theorem_report(suite, mode, [law_entry("base-laws", None, mode),
+                                        side_entry("derived-laws", derived, mode)],
+                          True, derived.ok, transfer=transfer)
 
 
-def _implications(base_ok: bool, derived_ok: bool, mode: str,
-                  forward_note: dict | None = None,
-                  backward_note: dict | None = None) -> list[LawEntry]:
-    return [
-        law_entry("theorem-forward",
-                  None if (not base_ok or derived_ok) else
-                  (forward_note or {"note": "base holds, derived side fails"}),
-                  mode),
-        law_entry("theorem-backward",
-                  None if (not derived_ok or base_ok) else
-                  (backward_note or {"note": "derived holds, base fails"}),
-                  mode),
-    ]
+def _element_transfer(suite: str, entry: CatalogEntry, base_rep: LawReport,
+                      mode: str) -> LawReport:
+    """The theorem report on an entry whose element laws fail: the first
+    failure, replayed on one-point relations, is the derived side's
+    failure, and the transfer fails when it does not recur there."""
+    fail = base_rep.failing()[0]
+    holds, rel_wit = transfer_quantale_witness(entry.ld, fail.law, fail.witness)
+    entries = [side_entry("base-laws", base_rep, mode),
+               law_entry("derived-laws", {"law": fail.law, "witness": rel_wit},
+                         mode)]
+    return theorem_report(suite, mode, entries, False, False, transfer=(
+        {"law": fail.law, "note": "transfer did not reproduce"} if holds
+        else None))
 
 
 def _thm_ldq(entry: CatalogEntry, sampler: Sampler,
@@ -372,78 +363,45 @@ def _thm_ldq(entry: CatalogEntry, sampler: Sampler,
         base_rep = check_ld_laws(entry.ld, entry.ld.sample_elements(sampler.window))
     mode = sampler.random_label() if not entry.ld.carrier.is_finite \
         else "exhaustive"
-    entries = [_side_entry("base-laws", base_rep, mode)]
-
-    if base_rep.ok:
-        rel_rep = verify_qrel_laws(entry.ld, sets, sampler,
-                                   suite=f"{suite}:qrel")
-        entries.append(_side_entry("derived-laws", rel_rep, mode))
-        entries.extend(_implications(True, rel_rep.ok, mode))
-        entries.append(law_entry("theorem-transfer", None, mode))
-    else:
-        fail = base_rep.failing()[0]
-        holds, rel_wit = transfer_quantale_witness(entry.ld, fail.law,
-                                                   fail.witness or {})
-        entries.append(law_entry("derived-laws",
-                                 {"law": fail.law, "witness": rel_wit}, mode))
-        entries.extend(_implications(False, False, mode))
-        entries.append(law_entry(
-            "theorem-transfer",
-            None if not holds else {"law": fail.law,
-                                    "note": "transfer did not reproduce"},
-            mode))
-    return LawReport(suite, tuple(entries))
+    if not base_rep.ok:
+        return _element_transfer(suite, entry, base_rep, mode)
+    return _sound_base(suite, mode, verify_qrel_laws(entry.ld, sets, sampler,
+                                                     suite=f"{suite}:qrel"))
 
 
 def _thm_girard_qrel(entry: CatalogEntry, sampler: Sampler,
                      sets: Sequence[FiniteSet]) -> LawReport:
     suite = f"theorem-girard-qrel[{entry.name}]"
-    sample = entry.ld.sample_elements(sampler.window)
     mode = "exhaustive" if entry.ld.carrier.is_finite else sampler.random_label()
-    base_ok = entry.is_girard
-    entries = [law_entry("base-laws",
-                         None if base_ok else {"note": "no cyclic dualizing element",
-                                               "candidates": len(sample)},
-                         mode)]
-    if base_ok:
-        rep = check_girard_qrel(entry.girard, sets, sampler,
-                                suite=f"{suite}:qrel")
-        entries.append(_side_entry("derived-laws", rep, mode))
-        entries.extend(_implications(True, rep.ok, mode))
-        entries.append(law_entry("theorem-transfer", None, mode))
-    else:
-        # every candidate fails in the quantale; transfer the first failure
-        # through a one-point relation
-        q = entry.ld
-        reproduced = True
-        transfer_wit = None
-        for d in sample:
-            failure = _dualizer_failure(q, d, sample)
-            if failure is None:
-                reproduced = False
-                transfer_wit = {"d": d, "note": "candidate works in quantale"}
-                break
-            a = failure[1]
-            pt = finite_set("pt", ("*",))
-            r = relation(pt, pt, q, [[a]])
-            dd = rel_dual(rel_dual(r, d), d)
-            ext_ok = dd.values == r.values
-            cyc_ok = right_extension(r, dual_family(pt, q, d)).values == \
-                right_lifting(dual_family(pt, q, d), r).values
-            if ext_ok and cyc_ok:
-                reproduced = False
-                transfer_wit = {"d": d, "a": a,
-                                "note": "relation family passed unexpectedly"}
-                break
-            transfer_wit = {"d": d, "a": a}
-        entries.append(law_entry("derived-laws",
-                                 {"note": "diagonal family fails for every candidate",
-                                  "witness": transfer_wit}, mode))
-        entries.extend(_implications(False, False, mode))
-        entries.append(law_entry(
-            "theorem-transfer",
-            None if reproduced else transfer_wit, mode))
-    return LawReport(suite, tuple(entries))
+    if entry.is_girard:
+        return _sound_base(suite, mode, check_girard_qrel(
+            entry.girard, sets, sampler, suite=f"{suite}:qrel"))
+    if not entry.quantale_ok:
+        # the stored report is the one the entry was classified with
+        return _element_transfer(suite, entry, entry.ld_report, mode)
+    # a quantale without a dualizer: every candidate fails in it, and the
+    # first failure transfers through a one-point relation
+    q = entry.ld
+    sample = q.sample_elements(sampler.window)
+    pt = finite_set("pt", ("*",))
+    transfer = wit = None
+    for d in sample:
+        failure = _dualizer_failure(q, d, sample)
+        if failure is None:
+            transfer = wit = {"d": d, "note": "candidate works in quantale"}
+            break
+        wit = {"d": d, "a": failure[1]}
+        r = relation(pt, pt, q, [[failure[1]]])
+        double, cyclic = girard_double_dual(r, d), girard_cyclic(r, d)
+        if double and cyclic:
+            transfer = wit = {**wit, "note": "relation family passed unexpectedly"}
+            break
+    entries = [law_entry("base-laws", {"note": "no cyclic dualizing element",
+                                       "candidates": len(sample)}, mode),
+               law_entry("derived-laws",
+                         {"note": "diagonal family fails for every candidate",
+                          "witness": wit}, mode)]
+    return theorem_report(suite, mode, entries, False, False, transfer=transfer)
 
 
 def _finite_base(entry: CatalogEntry) -> FiniteQuantaloid:
@@ -474,32 +432,20 @@ def _thm_girard_qmod(entry: CatalogEntry, sampler: Sampler,
             single = discrete_qcategory(base, ("x",), (a,))
             restricted[a] = qmod_delta(single, family).values_tensor[0][0]
         back = check_girard_family(base, restricted)
-        entries = [law_entry("base-laws", None, mode),
-                   _side_entry("derived-laws", rep, mode)]
-        entries.extend(_implications(True, rep.ok, mode))
-        entries.append(law_entry(
-            "theorem-transfer",
+        return _sound_base(suite, mode, rep, transfer=(
             None if back.ok and restricted == family else
-            {"restricted": restricted}, mode))
-    else:
-        q = entry.ld
-        sample = q.sample_elements(sampler.window)
-        reproduced = True
-        wit = None
-        for d in sample:
-            fam_rep = check_girard_family(base, {obj: d})
-            if fam_rep.ok:
-                reproduced = False
-                wit = {"d": d, "note": "family passed unexpectedly"}
-                break
-            wit = {"d": d, "law": fam_rep.failing()[0].law}
-        entries = [law_entry("base-laws",
-                             {"note": "no dualizing family on the base"}, mode),
-                   law_entry("derived-laws", {"witness": wit}, mode)]
-        entries.extend(_implications(False, False, mode))
-        entries.append(law_entry("theorem-transfer",
-                                 None if reproduced else wit, mode))
-    return LawReport(suite, tuple(entries))
+            {"restricted": restricted}))
+    transfer = wit = None
+    for d in entry.ld.sample_elements(sampler.window):
+        fam_rep = check_girard_family(base, {obj: d})
+        if fam_rep.ok:
+            transfer = wit = {"d": d, "note": "family passed unexpectedly"}
+            break
+        wit = {"d": d, "law": fam_rep.failing()[0].law}
+    entries = [law_entry("base-laws",
+                         {"note": "no dualizing family on the base"}, mode),
+               law_entry("derived-laws", {"witness": wit}, mode)]
+    return theorem_report(suite, mode, entries, False, False, transfer=transfer)
 
 
 def _thm_girard_monq(entry: CatalogEntry, sampler: Sampler,
@@ -517,28 +463,21 @@ def _thm_girard_monq(entry: CatalogEntry, sampler: Sampler,
         trivial_name = f"{obj}|{base.unit_top(obj)}"
         restricted = {obj: induced[trivial_name]}
         back = check_girard_family(base, restricted)
-        entries = [law_entry("base-laws", None, mode),
-                   _side_entry("derived-laws", rep, mode)]
-        entries.extend(_implications(True, rep.ok, mode))
-        entries.append(law_entry(
-            "theorem-transfer",
-            None if back.ok else {"restricted": restricted}, mode))
-    else:
-        entries = [law_entry("base-laws",
-                             {"note": "no dualizing family on the base"}, mode)]
-        try:
-            found = find_girard_families(monq_quantaloid(base))
-            derived = ({"note": "no dualizing family on monads"} if not found
-                       else {"families": len(found)})
-        except NotClosedError as exc:
-            # without a monad quantaloid there is no family on monads either
-            found, derived = [], exc.witness
-        entries.append(law_entry("derived-laws", derived, mode))
-        entries.extend(_implications(False, bool(found), mode))
-        # a family on the monad side would restrict to one on the base;
-        # none existing on either side is the expected correspondence
-        entries.append(law_entry("theorem-transfer", None, mode))
-    return LawReport(suite, tuple(entries))
+        return _sound_base(suite, mode, rep, transfer=(
+            None if back.ok else {"restricted": restricted}))
+    try:
+        found = find_girard_families(monq_quantaloid(base))
+        derived = ({"note": "no dualizing family on monads"} if not found
+                   else {"families": len(found)})
+    except NotClosedError as exc:
+        # without a monad quantaloid there is no family on monads either
+        found, derived = [], exc.witness
+    # a family on the monad side would restrict to one on the base; none
+    # existing on either side is the expected correspondence
+    entries = [law_entry("base-laws",
+                         {"note": "no dualizing family on the base"}, mode),
+               law_entry("derived-laws", derived, mode)]
+    return theorem_report(suite, mode, entries, False, bool(found))
 
 
 def _thm_linear_monq(entry: CatalogEntry, sampler: Sampler,
@@ -555,6 +494,23 @@ def _thm_linear_qmod(entry: CatalogEntry, sampler: Sampler,
         base, sampler, suite=f"theorem-linear-qmod[{entry.name}]")
 
 
+def _closedness(suite: str, mode: str, calc: Calculus, cases) -> LawReport:
+    """The unit and counit of each case ``(f, g, values)``, a cell and its
+    linear adjoint, up to the first failure of each; ``values()`` gives
+    the failing cell's values for the witness."""
+    wits = dict.fromkeys(ADJOINT_LAWS)
+    for f, g, values in cases:
+        for label, law in ADJOINT_LAWS.items():
+            if wits[label] is None and not law(calc, f, g):
+                wits[label] = {"values": values()}
+        if None not in wits.values():
+            break
+    entries = [law_entry(label, wit, mode) for label, wit in wits.items()]
+    return LawReport(suite, (*entries, law_entry(
+        "theorem-forward", {"note": "closedness fails"} if any(wits.values())
+        else None, mode)))
+
+
 def _thm_qrel_closed(entry: CatalogEntry, sampler: Sampler,
                      sets: Sequence[FiniteSet]) -> LawReport:
     """Every 1-cell has a linear adjoint over a Girard entry; otherwise a
@@ -563,41 +519,18 @@ def _thm_qrel_closed(entry: CatalogEntry, sampler: Sampler,
     if entry.is_girard:
         amb = entry.girard
         mode, cases = sample_relation_tuples(amb, sets, sampler, "chain1")
-        unit_wit = None
-        counit_wit = None
-        for (r,) in cases:
-            dual = rel_dual(r, amb.dualizer)
-            if unit_wit is None and not rel_leq(id_top(r.source, amb),
-                                                compose_par(r, dual)):
-                unit_wit = {"values": [list(v) for v in r.values]}
-            if counit_wit is None and not rel_leq(compose_tensor(dual, r),
-                                                  id_bot(r.target, amb)):
-                counit_wit = {"values": [list(v) for v in r.values]}
-            if unit_wit and counit_wit:
-                break
-        entries = [law_entry("linear-adjoint-unit", unit_wit, mode),
-                   law_entry("linear-adjoint-counit", counit_wit, mode),
-                   law_entry("theorem-forward",
-                             None if unit_wit is None and counit_wit is None
-                             else {"note": "closedness fails"}, mode)]
-        return LawReport(suite, tuple(entries))
+        return _closedness(suite, mode, QREL_CALCULUS, (
+            (r, rel_dual(r, amb.dualizer), lambda r=r: [list(v) for v in r.values])
+            for (r,) in cases))
     amb = entry.ld
     if not amb.carrier.is_finite:
         raise MismatchError("non-Girard closedness search needs a finite carrier")
     pt = finite_set("pt", ("*",))
-    els = amb.carrier.lattice.elements
-    missing = None
-    for a in els:
-        A = relation(pt, pt, amb, [[a]])
-        if not any(check_linear_adjoint(A, relation(pt, pt, amb, [[b]]))
-                   for b in els):
-            missing = a
-            break
-    entries = [law_entry(
-        "theorem-forward",
-        None if missing is not None else
-        {"note": "every one-point cell found an adjoint"}, "exhaustive")]
-    return LawReport(suite, tuple(entries))
+    cells = [relation(pt, pt, amb, [[a]]) for a in amb.carrier.lattice.elements]
+    gap = any(not any(check_linear_adjoint(A, B) for B in cells) for A in cells)
+    return LawReport(suite, (law_entry(
+        "theorem-forward", None if gap else
+        {"note": "every one-point cell found an adjoint"}, "exhaustive"),))
 
 
 def _thm_qmod_closed(entry: CatalogEntry, sampler: Sampler,
@@ -612,27 +545,15 @@ def _thm_qmod_closed(entry: CatalogEntry, sampler: Sampler,
     # the family is checked, and each category linearized, once, not per bimodule
     d = _require_girard(base, family)
     linear = [_second_enrichment(A, d) for A in cats]
-    unit_wit = None
-    counit_wit = None
-    for A, LA in zip(cats, linear):
-        for B, LB in zip(cats, linear):
-            for t in enumerate_qbimodules(A, B, limit=4):
-                lt = _girard_linear_bimodule(_made(LA, LB, t.tensor), d)
-                adj = _qmod_linear_adjoint(lt, d)
-                if unit_wit is None and not bim_leq(
-                        identity_bimodule(lt.source),
-                        qmod_compose_par(lt, adj)):
-                    unit_wit = {"values": [list(r) for r in t.values_tensor]}
-                if counit_wit is None and not bim_leq(
-                        qmod_compose_tensor(adj, lt),
-                        par_identity_bimodule(lt.target)):
-                    counit_wit = {"values": [list(r) for r in t.values_tensor]}
-    entries = [law_entry("linear-adjoint-unit", unit_wit, "sample"),
-               law_entry("linear-adjoint-counit", counit_wit, "sample"),
-               law_entry("theorem-forward",
-                         None if unit_wit is None and counit_wit is None
-                         else {"note": "closedness fails"}, "sample")]
-    return LawReport(suite, tuple(entries))
+
+    def cases():
+        for A, LA in zip(cats, linear):
+            for B, LB in zip(cats, linear):
+                for t in enumerate_qbimodules(A, B, limit=4):
+                    lt = _girard_linear_bimodule(_made(LA, LB, t.tensor), d)
+                    yield (lt, _qmod_linear_adjoint(lt, d),
+                           lambda t=t: [list(r) for r in t.values_tensor])
+    return _closedness(suite, "sample", QMOD_CALCULUS, cases())
 
 
 THEOREMS = {

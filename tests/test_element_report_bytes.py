@@ -21,16 +21,16 @@ from linrel.verify import catalog, catalog_entry, run_theorem
 
 EXPECTED = {
     "bool": "34016de553ed70d76954d95a7125d3dd2f320b0aded71fd198de276758a793ac",
-    "bool-broken": "01374335fc2efb8b8d2b70f14b5c14e0aa97c15a5c6c658b354950119b7bcea0",
+    "bool-broken": "2b48c2a941d6131cf8bae765e8adb89d4a7a352f43cf6c993172a06fdb458eee",
     "chain3": "5b10c65db1ea89bc33228cda1cc5205c627c17aab41a02f91f4815ebbcbb6862",
     "chain3-broken": "4f830f9e17e40aca7cd54cde8f7e94829a9415d182e23bddb65f6a0fc6606796",
     "diamond": "1daa096eec1c48423813500fee41d51a2c06de164d4670cbe4218f9d022a0e3e",
-    "diamond-broken": "50f5fb6253d40d1b9935b6ee8e56f23d479acfd4a276d2fb1fac7ddcdff634b9",
+    "diamond-broken": "8f3a2f2d1b7e078ed2874e7be0dfbcf7c8b606856c64ab091b5cb8824fe8c7ae",
     "point": "bc3981b47da94a1c95fd55f9747fa5cf4a804a0f612346ff3950dae40f27b3be",
     "z2shift": "3088a55ee50e562c8c95de14ec0aa45b520f96f58fe2d95f227e2bc62e05890f",
     "z2shift-broken": "cf8b3d555a81bbc89a33bd45e4650e8862315338f58d99e7829b9f1ae910b969",
     "z3shift": "a76534fe30627263fa94be64c046e354fd3c39a69734e07a10aea16c09900409",
-    "z3shift-broken": "1444d2c499f1a4cb1da81e8febdda656f30c50ffe3a99a5e788ab91afaff2dbf",
+    "z3shift-broken": "e9750a96ad184c49b4edc4192fbaab174bc2907cd10e8cf76ca0ef732d309a63",
     "zinf-arctic": "50e88a4ad6b0a66bd2d9038bf8c4fab85927c9a949f6d69a23c424d699853b86",
     "zinf-broken": "6ff56bb690835078764a47ad1d9cba487221d030ba1c9d4250031698a04c99cc",
     "zinf-tropical": "cf02f8a8bbe07627b5d28090daa291c0f8579e3a7108ca11205125960322f930",
