@@ -1,15 +1,19 @@
 """Finite complete lattices built from explicit cover relations.
 
-The order is entered as a Hasse (cover) list and closed internally; joins
-and meets of all pairs are computed eagerly so that an invalid input fails
-at construction time, never later.
+The order is entered as a Hasse (cover) list and closed internally, or as
+a closed order matrix; joins and meets of all pairs are computed eagerly
+so that an invalid input fails at construction time, never later.  Both
+work on bitmasks: each element's up-set and down-set is one integer, and
+the join of two elements is the element whose up-set is the common part
+of theirs (the meet likewise on down-sets), one dict lookup per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CyclicOrderError,
@@ -26,8 +30,8 @@ class FiniteLattice:
 
     Elements are identified by name.  ``leq_matrix[i][j]`` holds exactly when
     element ``i`` lies below element ``j`` in the closed order.  Instances are
-    immutable; build them with :func:`build_lattice` or
-    :func:`lattice_from_leq`.
+    immutable; build them with :func:`build_lattice`,
+    :func:`lattice_from_leq` or :func:`product_lattice`.
     """
 
     elements: tuple[str, ...]
@@ -141,11 +145,8 @@ def build_lattice(
         for i in range(n):
             row = reach[i]
             acc = row
-            m = row
-            while m:
-                j = (m & -m).bit_length() - 1
+            for j in _bits(row):
                 acc |= reach[j]
-                m &= m - 1
             if acc != row:
                 reach[i] = acc
                 changed = True
@@ -156,11 +157,7 @@ def build_lattice(
                 raise CyclicOrderError(
                     f"cover closure makes {names[i]!r} and {names[j]!r} equal"
                 )
-
-    leq = tuple(
-        tuple(bool((reach[i] >> j) & 1) for j in range(n)) for i in range(n)
-    )
-    return _finish(names, leq)
+    return _finish(names, reach)
 
 
 def lattice_from_leq(
@@ -171,58 +168,81 @@ def lattice_from_leq(
     if not names:
         raise NotALatticeError("a lattice needs at least one element")
     n = len(names)
-    leq = tuple(tuple(bool(v) for v in row) for row in leq_matrix)
-    if len(leq) != n or any(len(row) != n for row in leq):
+    rows = [tuple(row) for row in leq_matrix]
+    if len(rows) != n or any(len(row) != n for row in rows):
         raise NotALatticeError("order matrix shape does not match element count")
-    for i in range(n):
-        if not leq[i][i]:
+    up = [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
+    # Each check at (i, j) needs i below j, so only those j are visited,
+    # in the order of a full scan.
+    for i, row in enumerate(up):
+        if not (row >> i) & 1:
             raise CyclicOrderError(f"order is not reflexive at {names[i]!r}")
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
+        for j in _bits(row):
+            if i != j and (up[j] >> i) & 1:
                 raise CyclicOrderError(
                     f"order is not antisymmetric on {names[i]!r}, {names[j]!r}"
                 )
-            for k in range(n):
-                if leq[i][j] and leq[j][k] and not leq[i][k]:
-                    raise CyclicOrderError(
-                        f"order is not transitive via {names[j]!r}"
-                    )
-    return _finish(names, leq)
+            if up[j] & ~row:
+                raise CyclicOrderError(f"order is not transitive via {names[j]!r}")
+    return _finish(names, up)
 
 
-def _finish(names: tuple[str, ...], leq: tuple[tuple[bool, ...], ...]) -> FiniteLattice:
+def product_lattice(A: FiniteLattice, B: FiniteLattice) -> FiniteLattice:
+    """Pairs under the componentwise order, named ``"a|b"``, with A's
+    element outer."""
+    nb = len(B)
+    pairs = tuple(product(range(len(A)), range(nb)))
+
+    def table(ta, tb):
+        return tuple(tuple(ta[i][k] * nb + tb[j][l] for k, l in pairs)
+                     for i, j in pairs)
+
+    return FiniteLattice(
+        elements=tuple(f"{a}|{b}" for a in A.elements for b in B.elements),
+        leq_matrix=tuple(tuple(A.leq_matrix[i][k] and B.leq_matrix[j][l]
+                               for k, l in pairs) for i, j in pairs),
+        join_table=table(A.join_table, B.join_table),
+        meet_table=table(A.meet_table, B.meet_table),
+        top=f"{A.top}|{B.top}",
+        bottom=f"{A.bottom}|{B.bottom}",
+    )
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _finish(names: tuple[str, ...], up: list[int]) -> FiniteLattice:
+    """The lattice of the partial order with these up-set bitmasks."""
     n = len(names)
-    idxs = range(n)
+    down = [0] * n
+    for i, row in enumerate(up):
+        for j in _bits(row):
+            down[j] |= 1 << i
 
-    def bound(i: int, j: int, upper: bool) -> int:
-        if upper:
-            cands = [k for k in idxs if leq[i][k] and leq[j][k]]
-            least = [u for u in cands if all(leq[u][k] for k in cands)]
-        else:
-            cands = [k for k in idxs if leq[k][i] and leq[k][j]]
-            least = [u for u in cands if all(leq[k][u] for k in cands)]
-        if len(least) != 1:
-            kind = "join" if upper else "meet"
-            raise NotALatticeError(
-                f"elements {names[i]!r} and {names[j]!r} have no {kind}"
-            )
-        return least[0]
+    def table(sets: list[int], kind: str) -> tuple[tuple[int, ...], ...]:
+        at = {mask: k for k, mask in enumerate(sets)}
+        rows = tuple(tuple([at.get(mask & other) for other in sets])
+                     for mask in sets)
+        for i, row in enumerate(rows):
+            if None in row:
+                raise NotALatticeError(f"elements {names[i]!r} and "
+                                       f"{names[row.index(None)]!r} have no {kind}")
+        return rows
 
-    join_table = tuple(tuple(bound(i, j, True) for j in idxs) for i in idxs)
-    meet_table = tuple(tuple(bound(i, j, False) for j in idxs) for i in idxs)
-
-    top = 0
-    bot = 0
-    for i in idxs:
-        top = join_table[top][i]
-        bot = meet_table[bot][i]
+    everything = (1 << n) - 1
     return FiniteLattice(
         elements=names,
-        leq_matrix=leq,
-        join_table=join_table,
-        meet_table=meet_table,
-        top=names[top],
-        bottom=names[bot],
+        leq_matrix=tuple(tuple(bool((row >> j) & 1) for j in range(n))
+                         for row in up),
+        join_table=table(up, "join"),
+        meet_table=table(down, "meet"),
+        top=names[down.index(everything)],
+        bottom=names[up.index(everything)],
     )
 
 

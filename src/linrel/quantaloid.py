@@ -27,7 +27,12 @@ from .errors import (
     NotGirardError,
     SearchSpaceError,
 )
-from .lattice import FiniteLattice, build_lattice, lattice_from_leq
+from .lattice import (
+    FiniteLattice,
+    build_lattice,
+    lattice_from_leq,
+    product_lattice,
+)
 from .laws import LAWS, OBJECT_CASES, Calculus, sides
 from .quantale import FiniteCarrier, Quantale, TableOp
 from .report import LAW_GROUPS, LawReport, law_entry
@@ -900,60 +905,25 @@ def check_linear_monad_bimodule(Q: FiniteQuantaloid,
     return validate_linear_monad_bimodule(Q, bim).ok
 
 
+def _linear_parts(Q: FiniteQuantaloid, src: LinearMonad, tgt: LinearMonad,
+                  part: str) -> list[str]:
+    """The valid tensor (``"vt"``) or par (``"vp"``) parts of the linear
+    bimodules from `src` to `tgt`, in hom order."""
+    return [v[0][0] for v, in _search(Q, _LINEAR_MBIM_LAWS, _ends(src, tgt),
+                                      _linear_ends(src, tgt), (part,))]
+
+
 def linear_monad_bimodules(Q: FiniteQuantaloid, src: LinearMonad,
                            tgt: LinearMonad) -> list[LinearMonadBimodule]:
-    return [LinearMonadBimodule(src, tgt, vt[0][0], vp[0][0])
-            for vt, vp in _search(Q, _LINEAR_MBIM_LAWS, _ends(src, tgt),
-                                  _linear_ends(src, tgt), ("vt", "vp"))]
-
-
-def linear_monq_compose_tensor(Q: FiniteQuantaloid, f: LinearMonadBimodule,
-                               g: LinearMonadBimodule) -> LinearMonadBimodule:
-    """Tensor of bimodule pairs: tensor parts compose with tensor, par
-    parts with par in the reversed (composable) order."""
-    if f.target != g.source:
-        raise MismatchError("linear monad bimodules are not composable")
-    a, b, c = f.source.obj, f.target.obj, g.target.obj
-    return LinearMonadBimodule(
-        f.source, g.target,
-        Q.compose(a, b, c, f.f_tensor, g.f_tensor),
-        Q.par_compose(c, b, a, g.f_par, f.f_par))
-
-
-def linear_monq_compose_par(Q: FiniteQuantaloid, f: LinearMonadBimodule,
-                            g: LinearMonadBimodule) -> LinearMonadBimodule:
-    if f.target != g.source:
-        raise MismatchError("linear monad bimodules are not composable")
-    a, b, c = f.source.obj, f.target.obj, g.target.obj
-    return LinearMonadBimodule(
-        f.source, g.target,
-        Q.par_compose(a, b, c, f.f_tensor, g.f_tensor),
-        Q.compose(c, b, a, g.f_par, f.f_par))
-
-
-def linear_monq_identity_top(Q: FiniteQuantaloid, lm: LinearMonad) -> LinearMonadBimodule:
-    return LinearMonadBimodule(lm, lm, lm.m_tensor, lm.m_par)
-
-
-def linear_monq_identity_bot(Q: FiniteQuantaloid, lm: LinearMonad) -> LinearMonadBimodule:
-    return LinearMonadBimodule(lm, lm, lm.m_par, lm.m_tensor)
+    """Every law reads only the tensor part or only the par part, so the
+    linear bimodules are the two searches' product, tensor part outer."""
+    pars = _linear_parts(Q, src, tgt, "vp")
+    return [LinearMonadBimodule(src, tgt, vt, vp)
+            for vt in _linear_parts(Q, src, tgt, "vt") for vp in pars]
 
 
 def linear_monad_name(lm: LinearMonad) -> str:
     return f"{lm.obj}|{lm.m_tensor}|{lm.m_par}"
-
-
-def _pair_name(bim: LinearMonadBimodule) -> str:
-    return f"{bim.f_tensor}|{bim.f_par}"
-
-
-def _pair_leq(Q: FiniteQuantaloid, x: LinearMonadBimodule,
-              y: LinearMonadBimodule) -> bool:
-    """The mixed order of parallel bimodule pairs: tensor parts up, par
-    parts down."""
-    a, b = x.source.obj, x.target.obj
-    return (Q.hom(a, b).leq(x.f_tensor, y.f_tensor)
-            and Q.hom(b, a).leq(y.f_par, x.f_par))
 
 
 def linear_monq_quantaloid(Q: FiniteQuantaloid,
@@ -962,8 +932,11 @@ def linear_monq_quantaloid(Q: FiniteQuantaloid,
     """Materialize the linear quantaloid of linear monads, once per
     quantaloid and monad list.
 
-    Hom elements are bimodule pairs ordered with the par component
-    reversed, so joins are pairs of join and meet.
+    No bimodule law reads both parts of a pair, so hom(m, n) is the
+    product of the valid tensor parts under the base order and the valid
+    par parts under the opposite order, with elements named ``"t|p"``.
+    Its tensor pairs the base tensor of the tensor parts with the base par
+    of the par parts in reversed order, and its par does the reverse.
     """
     if monads is None:
         monads = linear_monads_of(Q)
@@ -976,24 +949,26 @@ def linear_monq_quantaloid(Q: FiniteQuantaloid,
 def _linear_monq(Q: FiniteQuantaloid,
                  monads: tuple[LinearMonad, ...]) -> FiniteQuantaloid:
     names = {lm: linear_monad_name(lm) for lm in monads}
-    bims = {(m, n): linear_monad_bimodules(Q, m, n)
-            for m, n in product(monads, repeat=2)}
-    homs = {(names[m], names[n]): lattice_from_leq(
-                [_pair_name(b) for b in items],
-                [[_pair_leq(Q, x, y) for y in items] for x in items])
-            for (m, n), items in bims.items()}
+    parts = {(m, n): (_linear_parts(Q, m, n, "vt"), _linear_parts(Q, m, n, "vp"))
+             for m, n in product(monads, repeat=2)}
+    homs = {(names[m], names[n]): product_lattice(
+                _sublattice(Q.hom(m.obj, n.obj), T),
+                _sublattice(Q.hom(n.obj, m.obj), P).opposite())
+            for (m, n), (T, P) in parts.items()}
     t_tables, p_tables = {}, {}
     for m, n, p in product(monads, repeat=3):
-        key = (names[m], names[n], names[p])
-        for tables, compose in ((t_tables, linear_monq_compose_tensor),
-                                (p_tables, linear_monq_compose_par)):
-            tables[key] = tuple(
-                tuple(_pair_name(compose(Q, f, g)) for g in bims[(n, p)])
-                for f in bims[(m, n)])
-    units_top = {names[m]: _pair_name(linear_monq_identity_top(Q, m))
-                 for m in monads}
-    units_bot = {names[m]: _pair_name(linear_monq_identity_bot(Q, m))
-                 for m in monads}
+        a, b, c = m.obj, n.obj, p.obj
+        (T, P), (T2, P2) = parts[(m, n)], parts[(n, p)]
+        for tables, t_op, p_op in ((t_tables, Q.compose, Q.par_compose),
+                                   (p_tables, Q.par_compose, Q.compose)):
+            # (f_t|f_p)(g_t|g_p) is f_t.g_t | g_p.f_p under t_op, p_op
+            tt = [[t_op(a, b, c, ft, gt) for gt in T2] for ft in T]
+            pp = [[p_op(c, b, a, gp, fp) for fp in P] for gp in P2]
+            tables[(names[m], names[n], names[p])] = tuple(
+                tuple(f"{t}|{pp_g[j]}" for t in tt_f for pp_g in pp)
+                for tt_f in tt for j in range(len(P)))
+    units_top = {names[m]: f"{m.m_tensor}|{m.m_par}" for m in monads}
+    units_bot = {names[m]: f"{m.m_par}|{m.m_tensor}" for m in monads}
     return finite_quantaloid(tuple(names[m] for m in monads), homs, t_tables,
                              units_top, p_tables, units_bot)
 

@@ -435,6 +435,8 @@ def _thm_girard_qmod(entry: CatalogEntry, sampler: Sampler,
         return _sound_base(suite, mode, rep, transfer=(
             None if back.ok and restricted == family else
             {"restricted": restricted}))
+    if not entry.quantale_ok:
+        return _element_transfer(suite, entry, entry.ld_report, mode)
     transfer = wit = None
     for d in entry.ld.sample_elements(sampler.window):
         fam_rep = check_girard_family(base, {obj: d})

@@ -28,6 +28,7 @@ from linrel.qrel import (
 )
 from linrel.quantaloid import (
     check_girard_family,
+    linear_monq_quantaloid,
     monq_girard_family,
     monq_quantaloid,
     one_object_quantaloid,
@@ -332,3 +333,19 @@ def test_criterion_9_determinism():
     ok = ok and girard[0].json_bytes() == girard[1].json_bytes()
     announce(9, ok, "seeded reports byte-identical across runs")
     assert ok
+
+
+def test_criterion_10_iterated_linear_monads():
+    """The linear monad quantaloid of the linear monad quantaloid of
+    z2shift, five objects with homs of up to 256 elements, builds in under
+    two seconds from a base that has built nothing yet."""
+    base = one_object_quantaloid(catalog_entry("z2shift").ld)
+    t0 = time.monotonic()
+    twice = linear_monq_quantaloid(linear_monq_quantaloid(base))
+    elapsed = time.monotonic() - t0
+    ok = (len(twice.objects) == 5
+          and max(len(h) for h in twice.homs.values()) == 256)
+    announce(10, ok and elapsed < 2.0,
+             "iterated linear monad quantaloid of z2shift", elapsed)
+    assert ok
+    assert elapsed < 2.0

@@ -1,5 +1,7 @@
-"""Lattice construction and order algebra, checked against direct scans."""
+"""Lattice construction and order algebra, checked against direct scans:
+the bitset joins and meets against the pairwise scan of every bound."""
 
+import random
 from itertools import product
 
 import pytest
@@ -10,7 +12,13 @@ from linrel.errors import (
     NotALatticeError,
     UnknownElementError,
 )
-from linrel.lattice import build_lattice, chain, lattice_from_leq, powerset_lattice
+from linrel.lattice import (
+    build_lattice,
+    chain,
+    lattice_from_leq,
+    powerset_lattice,
+    product_lattice,
+)
 
 
 def scan_join(lat, a, b):
@@ -138,3 +146,115 @@ def test_lattice_from_leq_matches_build():
 def test_lattice_from_leq_rejects_broken_order():
     with pytest.raises(CyclicOrderError):
         lattice_from_leq(["a", "b"], [[True, True], [True, True]])
+
+
+# ---------------------------------------------------------------------------
+# The bitset construction against the pairwise scan
+
+
+def ref_lattice_from_leq(names, leq):
+    """Join and meet tables, top and bottom of a closed order, found by
+    checking every triple and scanning all bounds of every pair."""
+    n = len(names)
+    for i in range(n):
+        if not leq[i][i]:
+            raise CyclicOrderError(f"order is not reflexive at {names[i]!r}")
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                raise CyclicOrderError(
+                    f"order is not antisymmetric on {names[i]!r}, {names[j]!r}")
+            for k in range(n):
+                if leq[i][j] and leq[j][k] and not leq[i][k]:
+                    raise CyclicOrderError(
+                        f"order is not transitive via {names[j]!r}")
+
+    def bound(i, j, upper):
+        if upper:
+            cands = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            least = [u for u in cands if all(leq[u][k] for k in cands)]
+        else:
+            cands = [k for k in range(n) if leq[k][i] and leq[k][j]]
+            least = [u for u in cands if all(leq[k][u] for k in cands)]
+        if len(least) != 1:
+            kind = "join" if upper else "meet"
+            raise NotALatticeError(
+                f"elements {names[i]!r} and {names[j]!r} have no {kind}")
+        return least[0]
+
+    joins = tuple(tuple(bound(i, j, True) for j in range(n)) for i in range(n))
+    meets = tuple(tuple(bound(i, j, False) for j in range(n)) for i in range(n))
+    top = bot = 0
+    for i in range(n):
+        top, bot = joins[top][i], meets[bot][i]
+    return joins, meets, names[top], names[bot]
+
+
+def random_orders(seed, count):
+    """(kind, names, matrix) of seeded random relations: the closure of a
+    random acyclic relation, sometimes with a bottom and a top added; that
+    relation unclosed; and the closure with one entry flipped."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        p = rng.random()
+        edge = [[i == j or (rank[i] < rank[j] and rng.random() < p)
+                 for j in range(n)] for i in range(n)]
+        if n > 2 and rng.random() < 0.5:
+            lo, hi = rank.index(0), rank.index(n - 1)
+            for k in range(n):
+                edge[lo][k] = edge[k][hi] = True
+        closed = [row[:] for row in edge]
+        for k in range(n):
+            for i in range(n):
+                if closed[i][k]:
+                    for j in range(n):
+                        closed[i][j] = closed[i][j] or closed[k][j]
+        flipped = [row[:] for row in closed]
+        i, j = rng.randrange(n), rng.randrange(n)
+        flipped[i][j] = not flipped[i][j]
+        names = [f"e{k}" for k in range(n)]
+        yield from (("closed", names, closed), ("unclosed", names, edge),
+                    ("flipped", names, flipped))
+
+
+def outcome(build):
+    try:
+        lat = build()
+    except (CyclicOrderError, NotALatticeError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(lat, tuple):
+        return lat
+    return lat.join_table, lat.meet_table, lat.top, lat.bottom
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_from_leq_matches_pairwise_scan(seed):
+    kinds = {}
+    for kind, names, leq in random_orders(seed, 250):
+        got = outcome(lambda: lattice_from_leq(names, leq))
+        assert got == outcome(lambda: ref_lattice_from_leq(names, leq)), (
+            kind, leq)
+        kinds.setdefault(kind, set()).add(got[0] if isinstance(got[0], str)
+                                          else "lattice")
+        if kind == "closed":
+            covers = [(names[i], names[j]) for i, j in
+                      product(range(len(names)), repeat=2) if i != j and leq[i][j]]
+            assert outcome(lambda: build_lattice(names, covers)) == got
+    # every kind of outcome turns up
+    assert kinds["closed"] == {"lattice", "NotALatticeError"}
+    assert kinds["flipped"] == {"lattice", "NotALatticeError", "CyclicOrderError"}
+    assert "CyclicOrderError" in kinds["unclosed"]
+
+
+def test_product_lattice_is_the_componentwise_order():
+    A = build_lattice(["0", "x", "y", "1"],
+                      [("0", "x"), ("0", "y"), ("x", "1"), ("y", "1")])
+    B = chain(["0", "m", "1"]).opposite()
+    P = product_lattice(A, B)
+    assert P.elements == tuple(f"{a}|{b}" for a in A.elements for b in B.elements)
+    pairs = list(product(A.elements, B.elements))
+    leq = [[A.leq(a, c) and B.leq(b, d) for c, d in pairs] for a, b in pairs]
+    assert P == lattice_from_leq(P.elements, leq)
+    assert (P.top, P.bottom) == ("1|0", "0|1")

@@ -2,6 +2,7 @@
 construction theorems."""
 
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -27,11 +28,9 @@ from linrel.quantaloid import (
     find_girard_families,
     finite_quantaloid,
     hom_dual,
+    linear_monad_bimodules,
+    linear_monad_name,
     linear_monads_of,
-    linear_monq_compose_par,
-    linear_monq_compose_tensor,
-    linear_monq_identity_bot,
-    linear_monq_identity_top,
     linear_monq_quantaloid,
     monad_name,
     monads_of,
@@ -248,12 +247,28 @@ def test_embedded_cell_is_linear_bimodule():
 
 
 def test_identity_composition_of_linear_bimodules():
+    """The tables of the linear monad quantaloid: a pair ``t|p`` composes
+    by the base tensor on tensor parts and the base par on par parts in
+    reversed order (par the other way round), and the units are the
+    monad's pair and its swap."""
     Q = one_object_quantaloid(catalog_entry("z2shift").ld)
+    monq = linear_monq_quantaloid(Q)
     for lm in linear_monads_of(Q):
-        top = linear_monq_identity_top(Q, lm)
-        bot = linear_monq_identity_bot(Q, lm)
-        assert linear_monq_compose_tensor(Q, top, top) == top
-        assert linear_monq_compose_par(Q, bot, bot) == bot
+        x = linear_monad_name(lm)
+        top, bot = monq.unit_top(x), monq.unit_bot(x)
+        assert top == f"{lm.m_tensor}|{lm.m_par}"
+        assert bot == f"{lm.m_par}|{lm.m_tensor}"
+        assert monq.compose(x, x, x, top, top) == top
+        assert monq.par_compose(x, x, x, bot, bot) == bot
+        bims = linear_monad_bimodules(Q, lm, lm)
+        for f, g in product(bims, repeat=2):
+            fx, gx = f"{f.f_tensor}|{f.f_par}", f"{g.f_tensor}|{g.f_par}"
+            assert monq.compose(x, x, x, fx, gx) == (
+                f"{Q.compose('*', '*', '*', f.f_tensor, g.f_tensor)}|"
+                f"{Q.par_compose('*', '*', '*', g.f_par, f.f_par)}")
+            assert monq.par_compose(x, x, x, fx, gx) == (
+                f"{Q.par_compose('*', '*', '*', f.f_tensor, g.f_tensor)}|"
+                f"{Q.compose('*', '*', '*', g.f_par, f.f_par)}")
 
 
 def test_linear_monq_quantaloid_laws():

@@ -89,7 +89,7 @@ EXPECTED = {
             "bool":
                 "9971352d09aa259d6cbd4690bbd6d1a2636349b86c484d5389201a00db62e3a3",
             "bool-broken":
-                "b4c46dde042f3ab8ef43d46208d510c8517a08325e228e425f9081c6489ad20b",
+                "e7e84589e5fee4388b7566d023ad248fb4455099b38bdebd1d9a19be1cdd3ee3",
             "chain3":
                 "e8a46ceb68b84b2dca5861a5fd541b58c475bc5bae5aa45d4c38b9c5885cde46",
             "chain3-broken":
@@ -97,7 +97,7 @@ EXPECTED = {
             "diamond":
                 "4cc82ffe28aa9d9130b16d722f4aa7f90a1fd4627a33801232b5ef093617f711",
             "diamond-broken":
-                "ae9fb6a8e016ef527ccca0e49c94224f915ebe7597f7b1344ed423c796d0f1d3",
+                "373f4c44c2e66bd67013815652529150ae5e156a47d12969b9c135b13023060c",
             "point":
                 "ef65476f423bea152d82bc2692fbd026782f9a9b1cb15129f22771319bc3056e",
             "z2shift":
@@ -107,7 +107,7 @@ EXPECTED = {
             "z3shift":
                 "e1dce55bbbf13d3dd3a4e1449e0126f8dcc3e7fe5ca8948b4f2f6e1a00f522cf",
             "z3shift-broken":
-                "0878596c844573cc273a414c7549386792542a39ff3a134b15bcb8935914da80",
+                "ea75ffd6d49884ab8ef932581c9d546d506b622ecfb30a82cad36bd295933e42",
             "zinf-arctic":
                 "MismatchError: theorem needs a finite base; 'zinf-arctic' is not",
             "zinf-broken":
@@ -331,7 +331,7 @@ EXPECTED = {
             "bool":
                 "9971352d09aa259d6cbd4690bbd6d1a2636349b86c484d5389201a00db62e3a3",
             "bool-broken":
-                "b4c46dde042f3ab8ef43d46208d510c8517a08325e228e425f9081c6489ad20b",
+                "e7e84589e5fee4388b7566d023ad248fb4455099b38bdebd1d9a19be1cdd3ee3",
             "chain3":
                 "e8a46ceb68b84b2dca5861a5fd541b58c475bc5bae5aa45d4c38b9c5885cde46",
             "chain3-broken":
@@ -339,7 +339,7 @@ EXPECTED = {
             "diamond":
                 "4cc82ffe28aa9d9130b16d722f4aa7f90a1fd4627a33801232b5ef093617f711",
             "diamond-broken":
-                "ae9fb6a8e016ef527ccca0e49c94224f915ebe7597f7b1344ed423c796d0f1d3",
+                "373f4c44c2e66bd67013815652529150ae5e156a47d12969b9c135b13023060c",
             "point":
                 "ef65476f423bea152d82bc2692fbd026782f9a9b1cb15129f22771319bc3056e",
             "z2shift":
@@ -349,7 +349,7 @@ EXPECTED = {
             "z3shift":
                 "e1dce55bbbf13d3dd3a4e1449e0126f8dcc3e7fe5ca8948b4f2f6e1a00f522cf",
             "z3shift-broken":
-                "0878596c844573cc273a414c7549386792542a39ff3a134b15bcb8935914da80",
+                "ea75ffd6d49884ab8ef932581c9d546d506b622ecfb30a82cad36bd295933e42",
             "zinf-arctic":
                 "MismatchError: theorem needs a finite base; 'zinf-arctic' is not",
             "zinf-broken":

@@ -74,8 +74,9 @@ def test_closedness_stops_once_both_witnesses_are_found():
 
 @pytest.mark.parametrize("name", ["bool-broken", "diamond-broken", "z3shift-broken"])
 def test_girard_qrel_transfers_a_quantale_failure(name):
-    rep = run_theorem("girard-qrel", name)
-    base = rep.entry("base-laws").witness
-    assert base["law"] in LAW_GROUPS["quantale"]
-    assert rep.entry("derived-laws").witness["law"] == base["law"]
-    assert all(rep.entry(label).ok for label in IMPLICATIONS)
+    for theorem in ("girard-qrel", "girard-qmod"):
+        rep = run_theorem(theorem, name)
+        base = rep.entry("base-laws").witness
+        assert base["law"] in LAW_GROUPS["quantale"], theorem
+        assert rep.entry("derived-laws").witness["law"] == base["law"], theorem
+        assert all(rep.entry(label).ok for label in IMPLICATIONS), theorem
