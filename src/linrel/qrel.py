@@ -9,15 +9,17 @@ Over a finite carrier a relation keeps its matrix once, as element
 indices, and every composition, pointwise operation and comparison runs
 on the ambient's :class:`~linrel.quantale.IndexTables`.  Over the
 extended integers it keeps its elements and runs on the closed-form
-kernels.
+kernels.  Each kernel works on a relation's row-major cells, so the law
+suite runs the same kernels on plain coded cells (:func:`coded_calculus`)
+and builds relations only to shrink a failing case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain, product
-from operator import attrgetter, getitem, itemgetter
+from functools import cache, lru_cache, partial
+from itertools import chain, compress, product, repeat, starmap
+from operator import attrgetter, getitem, itemgetter, not_
 from typing import Any, Iterator, Sequence
 
 from .errors import (
@@ -43,10 +45,17 @@ class FiniteSet:
 
 
 def finite_set(name: str, members: Sequence[str]) -> FiniteSet:
+    if not isinstance(name, str):
+        raise InputFormatError(
+            f"set name {name!r} must be a string, not {type(name).__name__}")
     if not isinstance(members, (list, tuple)):
         raise InputFormatError(
             f"set {name!r} members must be a list, not {type(members).__name__}")
     members = tuple(members)
+    for m in members:
+        if not isinstance(m, str):
+            raise InputFormatError(
+                f"set {name!r} member {m!r} must be a string, not {type(m).__name__}")
     if len(set(members)) != len(members):
         raise DuplicateNameError(f"set {name!r} has duplicate members")
     return FiniteSet(name=name, members=members)
@@ -68,17 +77,13 @@ class QRelation:
     over the extended integers ``codes`` is None.  Treat it as immutable.
     """
 
-    # ``_row_blocks`` and ``_column_picks`` are filled when the relation
-    # first enters a composition as its left or right operand.
-    __slots__ = ("source", "target", "ambient", "codes", "_values",
-                 "_row_blocks", "_column_picks")
+    __slots__ = ("source", "target", "ambient", "codes", "_values")
 
     def __init__(self, source: FiniteSet, target: FiniteSet, ambient: Quantale,
                  values: Sequence[Sequence[Elem]]) -> None:
         """Trusts ``values``; :func:`relation` is the validating constructor."""
         self.source, self.target, self.ambient = source, target, ambient
         self._values = values
-        self._row_blocks = self._column_picks = None
         t = ambient.index_tables
         try:
             self.codes = None if t is None else \
@@ -128,7 +133,6 @@ def _made(source: FiniteSet, target: FiniteSet, amb: Quantale,
     carrier, or from its rows of elements (``codes`` None) otherwise."""
     r = _new(QRelation)
     r.source, r.target, r.ambient, r.codes, r._values = source, target, amb, codes, values
-    r._row_blocks = r._column_picks = None
     return r
 
 
@@ -136,6 +140,11 @@ def _cells(r: QRelation) -> tuple:
     """The entries in row-major order: element indices over a finite
     carrier, elements over the extended integers."""
     return r.codes if r.codes is not None else tuple(chain.from_iterable(r.values))
+
+
+def _coded(r: QRelation) -> tuple:
+    """``r`` as a coded cell ``(source, target, cells)``."""
+    return r.source, r.target, _cells(r)
 
 
 def _from_cells(source: FiniteSet, target: FiniteSet, amb: Quantale,
@@ -197,79 +206,121 @@ def _spans(n: int, width: int) -> tuple[tuple[int, int], ...]:
     return tuple((start, min(width, n - start)) for start in range(0, n, width))
 
 
-def _row_blocks(r: QRelation, t: IndexTables) -> list[tuple[int, list[int]]]:
-    """For each block of ``r``'s target, its width and the vector number
-    of each row's part in it."""
-    n, codes = len(r.target.members), r.codes
-    return [(w, [t.blocks[w][0][codes[i:i + w]] for i in range(start, len(codes), n)])
-            for start, w in _spans(n, t.width)]
+# Shapes with at most this many entries where the middle set meets a row
+# or a column, ``ny * (nx + nz)``, cut each row's and each column's part
+# of a block with a slice of its own, planned once per shape.  Larger
+# shapes cut the k-th member of a block from every row (column) at once,
+# with one strided slice, planned per call: a few slices per block cost
+# little next to such a composition, and kept per shape they add up.
+_SLICED_CELLS = 64
 
 
-def _column_picks(r: QRelation, t: IndexTables) -> list[itemgetter]:
-    """For each block of ``r``'s source, a picker of the vector numbers
-    of the columns' parts in it."""
-    nz, codes = len(r.target.members), r.codes
-    return [itemgetter(*[t.blocks[w][0][codes[start * nz + z:(start + w) * nz:nz]]
-                         for z in range(nz)])
-            for start, w in _spans(len(r.source.members), t.width)]
+@lru_cache(maxsize=128)
+def _sliced_plan(nx: int, ny: int, nz: int, width: int) -> tuple:
+    """For each block of the middle set of an ``nx`` x ``ny`` by ``ny`` x
+    ``nz`` composition of row-major cells: its width, the slice of each
+    row's part in it and the slice of each column's part."""
+    return tuple((w, tuple(slice(i, i + w) for i in range(start, nx * ny, ny)),
+                  tuple(slice(start * nz + z, (start + w) * nz, nz) for z in range(nz)))
+                 for start, w in _spans(ny, width))
 
 
-def _compose(f: QRelation, g: QRelation, op: str, fold, empty: int) -> QRelation:
-    """Entry (x, z) folds ``op`` products over the middle set, a block of
-    the ambient's index tables at a time: the part of row x in a block is
-    a row of the block's table, and the part of column z picks one entry
-    from it.  ``fold`` is the lattice table that joins (or meets) the
-    blocks, and ``empty`` the result of an empty middle set.  Each operand
-    keeps its block numbering for the next composition it enters."""
-    t = f.ambient.index_tables
-    nz = len(g.target.members)
-    if not nz or not f.target.members:
-        return _made(f.source, g.target, f.ambient,
-                     (empty,) * (len(f.source.members) * nz))
-    rows, picks = f._row_blocks, g._column_picks
-    if rows is None:
-        rows = f._row_blocks = _row_blocks(f, t)
-    if picks is None:
-        picks = g._column_picks = _column_picks(g, t)
-    acc = None
-    for (w, vectors), pick in zip(rows, picks):
-        table = t.blocks[w][1][op]
-        block = [pick(table[u]) for u in vectors]
-        if nz > 1:
-            block = chain.from_iterable(block)
-        acc = block if acc is None else [fold[a][b] for a, b in zip(acc, block)]
-    return _made(f.source, g.target, f.ambient, tuple(acc))
+def _strided_plan(ny: int, nz: int, width: int) -> list:
+    """For each block of the middle set, as :func:`_sliced_plan`, but the
+    slices of the k-th entries of all the rows' parts and of all the
+    columns' parts, one per member k; zipped, they give the parts."""
+    return [(w, tuple(map(slice, range(start, start + w), repeat(None), repeat(ny))),
+             tuple(map(slice, range(start * nz, (start + w) * nz, nz),
+                       range((start + 1) * nz, (start + w + 1) * nz, nz))))
+            for start, w in _spans(ny, width)]
 
 
-def _compose_values(f: QRelation, g: QRelation, op, agg) -> QRelation:
-    """``agg`` over the middle set of pointwise ``op`` products, for ZInt
-    backends, whose unchecked ``op`` trusts the relations' validated
-    entries."""
-    cols = _columns(g)
-    return _made(f.source, g.target, f.ambient, None,
-                 tuple(tuple(agg(map(op, frow, col)) for col in cols)
-                       for frow in f.values))
+def _fold_codes(t: IndexTables, op: str, f: tuple, g: tuple) -> tuple:
+    """The coded cell X->Z of coded cells ``f``: X->Y and ``g``: Y->Z,
+    whose entry (x, z) joins (meets, for "par") the ``op`` products over
+    Y, a block of the index tables at a time: the part of row x in a
+    block is numbered as a vector and picks a row of the block's table,
+    and the part of column z picks one entry from it."""
+    X, Y, fc = f
+    Z, gc = g[1], g[2]
+    nx, ny, nz = len(X.members), len(Y.members), len(Z.members)
+    if not (ny and nz):
+        return X, Z, (t.bottom if op == "tensor" else t.top,) * (nx * nz)
+    strided = ny * (nx + nz) > _SLICED_CELLS
+    plan = _strided_plan(ny, nz, t.width) if strided else _sliced_plan(nx, ny, nz, t.width)
+    blocks, acc = t.blocks, None
+    for w, rows, cols in plan:
+        number, tables = blocks[w]
+        table = tables[op]
+        if strided:
+            us = [table[number[r]] for r in zip(*map(fc.__getitem__, rows))]
+            vs = [number[c] for c in zip(*map(gc.__getitem__, cols))]
+            block = [u[v] for u in us for v in vs]
+        else:
+            # ``for u in [...]`` binds each row's table row without a
+            # comprehension of its own: small shapes are mostly overhead
+            vs = [number[gc[s]] for s in cols]
+            block = [u[v] for s in rows for u in [table[number[fc[s]]]] for v in vs]
+        if acc is None:
+            acc = block
+        else:
+            fold = t.join if op == "tensor" else t.meet
+            acc = [fold[a][b] for a, b in zip(acc, block)]
+    return X, Z, tuple(acc)
+
+
+def _fold_values(mul, agg, f: tuple, g: tuple) -> tuple:
+    """The coded cell X->Z of coded cells ``f``: X->Y and ``g``: Y->Z over
+    the extended integers: ``agg`` over Y of pointwise ``mul`` products.
+    The unchecked ``mul`` trusts the validated entries."""
+    X, Y, fc = f
+    Z, gc = g[1], g[2]
+    ny, nz = len(Y.members), len(Z.members)
+    rows = [fc[x * ny:(x + 1) * ny] for x in range(len(X.members))]
+    cols = [gc[z::nz] for z in range(nz)]
+    return X, Z, tuple(agg(map(mul, row, col)) for row in rows for col in cols)
+
+
+def _kernel(amb: Quantale, op: str):
+    """Composition ``op`` ("tensor" or "par") over ``amb`` on coded cells."""
+    t = amb.index_tables
+    if t is not None:
+        return partial(_fold_codes, t, op)
+    if op == "tensor":
+        return partial(_fold_values, amb.mul, amb.carrier.join)
+    return partial(_fold_values, amb.par_mul, amb.carrier.meet)
+
+
+def _compose(f: QRelation, g: QRelation, op: str) -> QRelation:
+    amb = f.ambient
+    t = amb.index_tables
+    if t is None:
+        X, Z, cells = _kernel(amb, op)(_coded(f), _coded(g))
+        return _made(X, Z, amb, None, _rows(cells, len(X.members), len(Z.members)))
+    # the kernel itself, without a partial: small compositions of relations
+    # spend most of their time outside it
+    return _made(f.source, g.target, amb, _fold_codes(
+        t, op, (f.source, f.target, f.codes), (g.source, g.target, g.codes))[2])
 
 
 def compose_tensor(f: QRelation, g: QRelation) -> QRelation:
     """Join over the middle set of pointwise tensor products."""
     _require_composable(f, g)
-    amb = f.ambient
-    t = amb.index_tables
-    if t is None:
-        return _compose_values(f, g, amb.mul, amb.carrier.join)
-    return _compose(f, g, "tensor", t.join, t.bottom)
+    return _compose(f, g, "tensor")
 
 
 def compose_par(f: QRelation, g: QRelation) -> QRelation:
     """Meet over the middle set of pointwise par sums."""
     _require_composable(f, g)
     _require_par(f.ambient)
-    amb = f.ambient
-    t = amb.index_tables
-    if t is None:
-        return _compose_values(f, g, amb.par_mul, amb.carrier.meet)
-    return _compose(f, g, "par", t.meet, t.top)
+    return _compose(f, g, "par")
+
+
+def _diagonal_cells(n: int, on, off) -> tuple:
+    """``on`` on the diagonal of an ``n`` x ``n`` matrix, ``off`` elsewhere."""
+    cells = [off] * (n * n)
+    cells[::n + 1] = [on] * n
+    return tuple(cells)
 
 
 def _diagonal(X: FiniteSet, amb: Quantale, on: Elem, off: Elem) -> QRelation:
@@ -277,10 +328,7 @@ def _diagonal(X: FiniteSet, amb: Quantale, on: Elem, off: Elem) -> QRelation:
     t = amb.index_tables
     if t is not None:
         on, off = t.index[on], t.index[off]
-    n = len(X.members)
-    cells = [off] * (n * n)
-    cells[::n + 1] = [on] * n
-    return _from_cells(X, X, amb, cells)
+    return _from_cells(X, X, amb, _diagonal_cells(len(X.members), on, off))
 
 
 def id_top(X: FiniteSet, amb: Quantale) -> QRelation:
@@ -316,40 +364,44 @@ def _require_parallel(f: QRelation, g: QRelation) -> None:
         raise MismatchError("relations are not parallel")
 
 
-def rel_leq(f: QRelation, g: QRelation) -> bool:
-    _require_parallel(f, g)
-    t = f.ambient.index_tables
-    if t is None:
-        leq = f.ambient.leq
-        return all(leq(a, b) for fr, gr in zip(f.values, g.values)
-                   for a, b in zip(fr, gr))
-    return all(map(getitem, map(t.leq.__getitem__, f.codes), g.codes))
-
-
-def _pointwise(f: QRelation, g: QRelation, op: attrgetter) -> QRelation:
-    """Entrywise ``op``: the index table of that name, or the carrier's
-    fold of that name on ZInt backends."""
-    _require_parallel(f, g)
-    amb = f.ambient
+def _entrywise(amb: Quantale, op: str):
+    """The lattice operation ``op`` ("join" or "meet") of ``amb``, entry
+    by entry on parallel coded cells."""
     t = amb.index_tables
     if t is None:
-        agg = op(amb.carrier)
-        return _made(f.source, f.target, amb, None,
-                     tuple(tuple(agg((a, b)) for a, b in zip(fr, gr))
-                           for fr, gr in zip(f.values, g.values)))
-    return _made(f.source, f.target, amb,
-                 tuple(map(getitem, map(op(t).__getitem__, f.codes), g.codes)))
+        agg = getattr(amb.carrier, op)
+        return lambda f, g: (f[0], f[1], tuple(agg((a, b)) for a, b in zip(f[2], g[2])))
+    table = getattr(t, op)
+    return lambda f, g: (f[0], f[1], tuple(map(getitem, map(table.__getitem__, f[2]), g[2])))
 
 
-_JOIN, _MEET = attrgetter("join"), attrgetter("meet")
+def _below(amb: Quantale):
+    """Whether one coded cell lies entrywise below a parallel one."""
+    t = amb.index_tables
+    if t is None:
+        leq = amb.leq
+        return lambda f, g: all(map(leq, f[2], g[2]))
+    table = t.leq
+    return lambda f, g: all(map(getitem, map(table.__getitem__, f[2]), g[2]))
+
+
+def rel_leq(f: QRelation, g: QRelation) -> bool:
+    _require_parallel(f, g)
+    return _below(f.ambient)(_coded(f), _coded(g))
+
+
+def _pointwise(f: QRelation, g: QRelation, op: str) -> QRelation:
+    _require_parallel(f, g)
+    return _from_cells(f.source, f.target, f.ambient,
+                       _entrywise(f.ambient, op)(_coded(f), _coded(g))[2])
 
 
 def rel_join(f: QRelation, g: QRelation) -> QRelation:
-    return _pointwise(f, g, _JOIN)
+    return _pointwise(f, g, "join")
 
 
 def rel_meet(f: QRelation, g: QRelation) -> QRelation:
-    return _pointwise(f, g, _MEET)
+    return _pointwise(f, g, "meet")
 
 
 def right_extension(f: QRelation, h: QRelation) -> QRelation:
@@ -439,9 +491,10 @@ def random_relation(rng, amb: Quantale, X: FiniteSet, Y: FiniteSet,
                     window: int = 10, inf_weight: float = 0.125) -> QRelation:
     t = amb.index_tables
     if t is not None:
-        # ``choice`` of an index draws exactly what it draws of the elements
-        choice, codes = rng.choice, range(len(t.elements))
-        return _made(X, Y, amb, tuple([choice(codes) for _ in
+        # ``randrange(n)`` draws exactly the index ``choice`` of the
+        # elements would
+        randrange, n = rng.randrange, len(t.elements)
+        return _made(X, Y, amb, tuple([randrange(n) for _ in
                                        range(len(X.members) * len(Y.members))]))
 
     def entry() -> Elem:
@@ -520,6 +573,33 @@ QREL_CALCULUS = Calculus(
     source=attrgetter("source"),
     target=attrgetter("target"),
 )
+
+
+def coded_calculus(amb: Quantale) -> Calculus:
+    """Relations over ``amb`` as ``(source, target, cells)``, with the
+    cells of :func:`_cells`: element indices over a finite carrier, the
+    elements over the extended integers.  The compositions, joins, meets
+    and order are the kernels the relation operations run; like the laws,
+    they assume that their cells compose or are parallel."""
+    t = amb.index_tables
+    code = (lambda v: v) if t is None else t.index.__getitem__
+    bottom, top, unit = code(amb.bottom), code(amb.top), code(amb.unit)
+    par_unit = code(amb.par_unit) if amb.has_par else None
+
+    def constant(v):
+        return lambda f, X, Y: (X, Y, (v,) * (len(X.members) * len(Y.members)))
+
+    return Calculus(
+        tensor=_kernel(amb, "tensor"),
+        par=_kernel(amb, "par") if amb.has_par else None,
+        id_top=lambda f, X: (X, X, _diagonal_cells(len(X.members), unit, bottom)),
+        id_bot=lambda f, X: (X, X, _diagonal_cells(len(X.members), par_unit, top)),
+        zero=constant(bottom), top=constant(top),
+        join=_entrywise(amb, "join"), meet=_entrywise(amb, "meet"),
+        leq=_below(amb),
+        eq=lambda f, g: f[2] == g[2],
+        source=itemgetter(0), target=itemgetter(1))
+
 
 # label -> (shape, predicate on the composable relation tuple).  Predicates
 # are pure so the shrinker can replay them.
@@ -623,18 +703,25 @@ def verify_qrel_laws(amb: Quantale, sets: Sequence[FiniteSet], sampler: Sampler,
 
     Every law of one shape reads the same draw: the sampler is seeded
     afresh per draw, so drawing it again would repeat the same cases.
+    The laws run on the draw's coded cells; only the first case a law
+    fails is shrunk, as relations, by its ``REL_LAW_SPECS`` predicate.
     """
     _require_par(amb)
     if labels is None:
         labels = tuple(REL_LAW_SPECS)
-    draws: dict[str, tuple[str, list[tuple[QRelation, ...]]]] = {}
+    calc = coded_calculus(amb)
+    draws: dict[str, tuple] = {}
     entries = []
     for label in labels:
-        shape, pred = REL_LAW_SPECS[label]
+        shape, law = LAWS[label]
         if shape not in draws:
-            draws[shape] = sample_relation_tuples(amb, sets, sampler, shape)
-        mode, cases = draws[shape]
-        entries.append(law_entry(label, _first_witness(cases, pred), mode))
+            mode, cases = sample_relation_tuples(amb, sets, sampler, shape)
+            coded = [tuple(map(_coded, case)) for case in cases]
+            draws[shape] = mode, cases, coded
+        mode, cases, coded = draws[shape]
+        case = next(compress(cases, map(not_, starmap(law(calc), coded))), None)
+        entries.append(law_entry(label, None if case is None else _case_witness(
+            _shrink_case(case, REL_LAW_SPECS[label][1])), mode))
     return LawReport(suite, tuple(entries))
 
 

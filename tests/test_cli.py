@@ -342,6 +342,27 @@ def test_members_as_string_exit_two(files, tmp_path, capsys):
     assert err.startswith("error:") and "list" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("side, field, value, named", [
+    ("source", "name", ["A"], "set name ['A']"),
+    ("source", "name", 7, "set name 7"),
+    ("target", "members", [1, "b2"], "set 'B' member 1"),
+    ("target", "members", [["b1"], "b2"], "set 'B' member ['b1']"),
+    ("target", "members", ["b1", None], "set 'B' member None"),
+], ids=["name-list", "name-number", "member-number", "member-list",
+        "member-null"])
+def test_set_names_must_be_strings_exit_two(side, field, value, named, files,
+                                            tmp_path, capsys):
+    blob = json.loads(open(files["f"]).read())
+    blob[side][field] = value
+    path = tmp_path / "bad_set.json"
+    path.write_text(json.dumps(blob))
+    assert main(["compose", "--quantale", files["trop"], str(path),
+                 files["g"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{named} must be a string" in err
+
+
 @pytest.mark.parametrize("field, value", [
     ("elements", [["0"], "1"]),
     ("covers", "01"),

@@ -1,12 +1,18 @@
-"""Finite relations on element indices agree with the element-level calculus.
+"""Relations on element indices agree with the element-level calculus.
 
 A relation over a finite carrier is stored as the element indices of its
 entries, and compositions, pointwise joins and meets, the order, the
 identities and the extreme cells all run on the ambient's
 ``IndexTables``.  Compositions fold the middle set in blocks of the
 table width, so middle sets of 0 to 8 members reach one block and several
-on every finite catalog entry.  Each operation must give, entry for entry,
-what the ambient's element operations give on the decoded names.
+on every finite catalog entry; wider shapes cut a block's parts with
+strided slices.  Each operation must give, entry for entry, what the
+ambient's element operations give on the decoded names.
+
+The law suites run the same operations on coded cells, ``(source,
+target, cells)`` from ``coded_calculus``; on every finite entry and on
+the extended integers each operation case must give, cell for cell, the
+cells of the relation operation's result.
 """
 
 import random
@@ -17,6 +23,9 @@ import pytest
 from linrel.errors import NoParStructureError
 from linrel.qrel import (
     QREL_CALCULUS,
+    _SLICED_CELLS,
+    _coded,
+    coded_calculus,
     compose_par,
     compose_tensor,
     enumerate_relations,
@@ -36,6 +45,7 @@ from linrel.quantaloid import one_object_quantaloid
 from linrel.verify import catalog
 
 FINITE = [name for name, e in catalog(10).items() if e.ld.carrier.is_finite]
+ZINF = [name for name, e in catalog(10).items() if not e.ld.carrier.is_finite]
 
 
 def _members(tag, n):
@@ -59,22 +69,41 @@ def _entrywise(f, g, op):
                  for fr, gr in zip(f.values, g.values))
 
 
-@pytest.mark.parametrize("name", FINITE)
+@pytest.mark.parametrize("name", FINITE + ZINF)
 def test_compositions_match_element_fold(name):
     rng = random.Random(name)
     for amb in _ambients(name):
+        calc = coded_calculus(amb)
         for ny in range(9):
             for _ in range(4):
                 X, Y, Z = (_members("x", rng.randint(0, 4)), _members("y", ny),
                            _members("z", rng.randint(0, 4)))
-                f = random_relation(rng, amb, X, Y, 10, 0.0)
-                g = random_relation(rng, amb, Y, Z, 10, 0.0)
-                # twice: the second time both operands reuse their numbering
-                for _ in range(2):
-                    assert compose_tensor(f, g).values == \
-                        _reference(f, g, amb.tensor, amb.join)
-                    assert compose_par(f, g).values == \
-                        _reference(f, g, amb.par, amb.meet)
+                f = random_relation(rng, amb, X, Y)
+                g = random_relation(rng, amb, Y, Z)
+                tensor, par = compose_tensor(f, g), compose_par(f, g)
+                assert tensor.values == _reference(f, g, amb.tensor, amb.join)
+                assert par.values == _reference(f, g, amb.par, amb.meet)
+                assert calc.tensor(_coded(f), _coded(g)) == _coded(tensor)
+                assert calc.par(_coded(f), _coded(g)) == _coded(par)
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_wide_shapes_cut_strided_slices(name):
+    # past ``_SLICED_CELLS`` the plan cuts each member of a block from all
+    # rows (columns) at once; both layouts must give the same folds
+    rng = random.Random(f"wide-{name}")
+    for amb in _ambients(name):
+        calc = coded_calculus(amb)
+        for nx, ny, nz in ((9, 8, 1), (1, 8, 9), (12, 7, 10), (3, 3, 30), (2, 31, 1)):
+            assert ny * (nx + nz) > _SLICED_CELLS
+            X, Y, Z = _members("x", nx), _members("y", ny), _members("z", nz)
+            f = random_relation(rng, amb, X, Y)
+            g = random_relation(rng, amb, Y, Z)
+            tensor, par = compose_tensor(f, g), compose_par(f, g)
+            assert tensor.values == _reference(f, g, amb.tensor, amb.join)
+            assert par.values == _reference(f, g, amb.par, amb.meet)
+            assert calc.tensor(_coded(f), _coded(g)) == _coded(tensor)
+            assert calc.par(_coded(f), _coded(g)) == _coded(par)
 
 
 def test_middle_sets_reach_several_blocks():
@@ -88,22 +117,28 @@ def test_middle_sets_reach_several_blocks():
 @pytest.mark.parametrize("name", FINITE)
 def test_operands_in_both_roles(name):
     # an endo-relation composed with itself, and a left operand that later
-    # becomes a right one, read each numbering in its own role
+    # becomes a right one
     rng = random.Random(f"roles-{name}")
     for amb in _ambients(name):
+        calc = coded_calculus(amb)
         for n in range(1, 8):
             X = _members("x", n)
             r = random_relation(rng, amb, X, X)
             s = random_relation(rng, amb, X, X)
-            assert compose_tensor(r, r).values == _reference(r, r, amb.tensor, amb.join)
-            assert compose_par(r, s).values == _reference(r, s, amb.par, amb.meet)
-            assert compose_par(s, r).values == _reference(s, r, amb.par, amb.meet)
+            rr, rs, sr = compose_tensor(r, r), compose_par(r, s), compose_par(s, r)
+            assert rr.values == _reference(r, r, amb.tensor, amb.join)
+            assert rs.values == _reference(r, s, amb.par, amb.meet)
+            assert sr.values == _reference(s, r, amb.par, amb.meet)
+            assert calc.tensor(_coded(r), _coded(r)) == _coded(rr)
+            assert calc.par(_coded(r), _coded(s)) == _coded(rs)
+            assert calc.par(_coded(s), _coded(r)) == _coded(sr)
 
 
-@pytest.mark.parametrize("name", FINITE)
+@pytest.mark.parametrize("name", FINITE + ZINF)
 def test_pointwise_order_and_constant_cells(name):
     rng = random.Random(f"cells-{name}")
     for amb in _ambients(name):
+        calc = coded_calculus(amb)
         join = lambda a, b: amb.join((a, b))
         meet = lambda a, b: amb.meet((a, b))
         for nx, ny in product(range(4), repeat=2):
@@ -111,20 +146,32 @@ def test_pointwise_order_and_constant_cells(name):
             for _ in range(6):
                 f = random_relation(rng, amb, X, Y)
                 g = random_relation(rng, amb, X, Y)
-                assert rel_join(f, g).values == _entrywise(f, g, join)
-                assert rel_meet(f, g).values == _entrywise(f, g, meet)
+                joined, met = rel_join(f, g), rel_meet(f, g)
+                assert joined.values == _entrywise(f, g, join)
+                assert met.values == _entrywise(f, g, meet)
                 want = all(amb.leq(a, b) for row in _entrywise(f, g, lambda a, b: (a, b))
                            for a, b in row)
                 assert rel_leq(f, g) is want
-                assert rel_leq(f, rel_join(f, g))
+                assert rel_leq(f, joined)
                 assert QREL_CALCULUS.eq(f, g) is (f.values == g.values)
-            assert zero_relation(X, Y, amb).values == ((amb.bottom,) * ny,) * nx
-            assert top_relation(X, Y, amb).values == ((amb.top,) * ny,) * nx
+                cf, cg = _coded(f), _coded(g)
+                assert calc.join(cf, cg) == _coded(joined)
+                assert calc.meet(cf, cg) == _coded(met)
+                assert calc.leq(cf, cg) is want
+                assert calc.eq(cf, cg) is (f.values == g.values)
+            zero, top = zero_relation(X, Y, amb), top_relation(X, Y, amb)
+            assert zero.values == ((amb.bottom,) * ny,) * nx
+            assert top.values == ((amb.top,) * ny,) * nx
+            assert calc.zero(cf, X, Y) == _coded(zero)
+            assert calc.top(cf, X, Y) == _coded(top)
             diagonal = lambda on, off: tuple(tuple(on if i == j else off
                                                    for j in range(nx))
                                              for i in range(nx))
-            assert id_top(X, amb).values == diagonal(amb.unit, amb.bottom)
-            assert id_bot(X, amb).values == diagonal(amb.par_unit, amb.top)
+            unit, par_unit = id_top(X, amb), id_bot(X, amb)
+            assert unit.values == diagonal(amb.unit, amb.bottom)
+            assert par_unit.values == diagonal(amb.par_unit, amb.top)
+            assert calc.id_top(cf, X) == _coded(unit)
+            assert calc.id_bot(cf, X) == _coded(par_unit)
 
 
 @pytest.mark.parametrize("name", FINITE)
