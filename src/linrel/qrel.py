@@ -276,6 +276,8 @@ def _fold_values(mul, agg, f: tuple, g: tuple) -> tuple:
     X, Y, fc = f
     Z, gc = g[1], g[2]
     ny, nz = len(Y.members), len(Z.members)
+    if ny == 1:  # the join (meet) of one product is that product
+        return X, Z, tuple(mul(a, b) for a in fc for b in gc)
     rows = [fc[x * ny:(x + 1) * ny] for x in range(len(X.members))]
     cols = [gc[z::nz] for z in range(nz)]
     return X, Z, tuple(agg(map(mul, row, col)) for row in rows for col in cols)
@@ -487,15 +489,15 @@ def count_relations(amb: Quantale, X: FiniteSet, Y: FiniteSet) -> int | None:
     return len(amb.carrier.lattice.elements) ** (len(X) * len(Y))
 
 
-def random_relation(rng, amb: Quantale, X: FiniteSet, Y: FiniteSet,
-                    window: int = 10, inf_weight: float = 0.125) -> QRelation:
+def _cell_draw(rng, amb: Quantale, window: int = 10, inf_weight: float = 0.125):
+    """A function drawing ``n`` cells from ``rng``: element indices over a
+    finite carrier, elements over the extended integers."""
     t = amb.index_tables
     if t is not None:
         # ``randrange(n)`` draws exactly the index ``choice`` of the
         # elements would
-        randrange, n = rng.randrange, len(t.elements)
-        return _made(X, Y, amb, tuple([randrange(n) for _ in
-                                       range(len(X.members) * len(Y.members))]))
+        randrange, k = rng.randrange, len(t.elements)
+        return lambda n: tuple([randrange(k) for _ in range(n)])
 
     def entry() -> Elem:
         u = rng.random()
@@ -504,14 +506,19 @@ def random_relation(rng, amb: Quantale, X: FiniteSet, Y: FiniteSet,
         if u < 2 * inf_weight:
             return MINUS_INF
         return rng.randint(-window, window)
-    return _made(X, Y, amb, None, tuple(tuple(entry() for _ in Y.members)
-                                        for _ in X.members))
+    return lambda n: tuple([entry() for _ in range(n)])
+
+
+def random_relation(rng, amb: Quantale, X: FiniteSet, Y: FiniteSet,
+                    window: int = 10, inf_weight: float = 0.125) -> QRelation:
+    return _from_cells(X, Y, amb, _cell_draw(rng, amb, window, inf_weight)(len(X) * len(Y)))
 
 
 def sample_relation_tuples(amb: Quantale, sets: Sequence[FiniteSet],
                            sampler: Sampler, shape: str,
-                           ) -> tuple[str, list[tuple[QRelation, ...]]]:
-    """Relation tuples laid out by a law shape (see ``SHAPE_SLOTS``).
+                           ) -> tuple[str, list[tuple[tuple, ...]]]:
+    """Tuples of coded cells (see :func:`coded_calculus`), not relations,
+    laid out by a law shape (see ``SHAPE_SLOTS``).
 
     Exhaustive when the finite carrier keeps every slot under the per-slot
     cap and the full tuple count under the budget; otherwise seeded random.
@@ -539,18 +546,18 @@ def sample_relation_tuples(amb: Quantale, sets: Sequence[FiniteSet],
         cases = []
         for bnd in boundaries:
             # parallel slots share one enumeration
-            pools = {(i, j): list(enumerate_relations(amb, bnd[i], bnd[j]))
-                     for i, j in dict.fromkeys(slots)}
+            pools = {(i, j): [(bnd[i], bnd[j], codes) for codes in product(
+                range(len(amb.index_tables.elements)), repeat=len(bnd[i]) * len(bnd[j]))]
+                for i, j in dict.fromkeys(slots)}
             cases.extend(product(*(pools[slot] for slot in slots)))
         return sampler.exhaustive_label(), cases
     rng = sampler.rng()
+    draw = _cell_draw(rng, amb, sampler.window, sampler.inf_weight)
     cases = []
     for _ in range(sampler.count):
         bnd = boundaries[rng.randrange(len(boundaries))]
-        cases.append(tuple(
-            random_relation(rng, amb, bnd[i], bnd[j],
-                            sampler.window, sampler.inf_weight)
-            for i, j in slots))
+        cases.append(tuple((bnd[i], bnd[j], draw(len(bnd[i]) * len(bnd[j])))
+                           for i, j in slots))
     return sampler.random_label(), cases
 
 
@@ -575,12 +582,31 @@ QREL_CALCULUS = Calculus(
 )
 
 
+def _memo(kernel):
+    """``kernel`` remembering the cells of each composite by value.  The
+    middle set's size and the operands' cells fix the shape, unless the
+    middle set is empty: those composites are not remembered."""
+    memo = {}
+
+    def composed(f: tuple, g: tuple) -> tuple:
+        ny = len(f[1].members)
+        if not ny:
+            return kernel(f, g)
+        key = ny, f[2], g[2]
+        cells = memo.get(key)
+        if cells is None:
+            cells = memo[key] = kernel(f, g)[2]
+        return f[0], g[1], cells
+    return composed
+
+
 def coded_calculus(amb: Quantale) -> Calculus:
     """Relations over ``amb`` as ``(source, target, cells)``, with the
     cells of :func:`_cells`: element indices over a finite carrier, the
     elements over the extended integers.  The compositions, joins, meets
     and order are the kernels the relation operations run; like the laws,
-    they assume that their cells compose or are parallel."""
+    they assume that their cells compose or are parallel.  Each calculus
+    remembers its compositions (:func:`_memo`) for as long as it lives."""
     t = amb.index_tables
     code = (lambda v: v) if t is None else t.index.__getitem__
     bottom, top, unit = code(amb.bottom), code(amb.top), code(amb.unit)
@@ -590,8 +616,8 @@ def coded_calculus(amb: Quantale) -> Calculus:
         return lambda f, X, Y: (X, Y, (v,) * (len(X.members) * len(Y.members)))
 
     return Calculus(
-        tensor=_kernel(amb, "tensor"),
-        par=_kernel(amb, "par") if amb.has_par else None,
+        tensor=_memo(_kernel(amb, "tensor")),
+        par=_memo(_kernel(amb, "par")) if amb.has_par else None,
         id_top=lambda f, X: (X, X, _diagonal_cells(len(X.members), unit, bottom)),
         id_bot=lambda f, X: (X, X, _diagonal_cells(len(X.members), par_unit, top)),
         zero=constant(bottom), top=constant(top),
@@ -634,14 +660,12 @@ def _shrink_case(rels: tuple[QRelation, ...], pred) -> tuple[QRelation, ...]:
         for victim in seen:
             for drop in range(len(victim)):
                 keep = tuple(i for i in range(len(victim)) if i != drop)
+                # every set equal to the victim shrinks: the candidate composes
                 candidate = tuple(restrict(r, victim, keep) for r in rels)
-                try:
-                    if not pred(candidate):
-                        rels = candidate
-                        changed = True
-                        break
-                except Exception:
-                    continue
+                if not pred(candidate):
+                    rels = candidate
+                    changed = True
+                    break
             if changed:
                 break
 
@@ -671,6 +695,11 @@ def _shrink_case(rels: tuple[QRelation, ...], pred) -> tuple[QRelation, ...]:
                         changed = True
                         break
     return rels
+
+
+def _relations(amb: Quantale, case: tuple) -> tuple[QRelation, ...]:
+    """The relations of a case of coded cells."""
+    return tuple(_from_cells(X, Y, amb, cells) for X, Y, cells in case)
 
 
 def _case_witness(rels: tuple[QRelation, ...]) -> dict:
@@ -703,8 +732,9 @@ def verify_qrel_laws(amb: Quantale, sets: Sequence[FiniteSet], sampler: Sampler,
 
     Every law of one shape reads the same draw: the sampler is seeded
     afresh per draw, so drawing it again would repeat the same cases.
-    The laws run on the draw's coded cells; only the first case a law
-    fails is shrunk, as relations, by its ``REL_LAW_SPECS`` predicate.
+    The laws run on the draw's coded cells, through one calculus whose
+    compositions the laws share; only the first case a law fails is
+    shrunk, as relations, by its ``REL_LAW_SPECS`` predicate.
     """
     _require_par(amb)
     if labels is None:
@@ -715,13 +745,11 @@ def verify_qrel_laws(amb: Quantale, sets: Sequence[FiniteSet], sampler: Sampler,
     for label in labels:
         shape, law = LAWS[label]
         if shape not in draws:
-            mode, cases = sample_relation_tuples(amb, sets, sampler, shape)
-            coded = [tuple(map(_coded, case)) for case in cases]
-            draws[shape] = mode, cases, coded
-        mode, cases, coded = draws[shape]
-        case = next(compress(cases, map(not_, starmap(law(calc), coded))), None)
+            draws[shape] = sample_relation_tuples(amb, sets, sampler, shape)
+        mode, cases = draws[shape]
+        case = next(compress(cases, map(not_, starmap(law(calc), cases))), None)
         entries.append(law_entry(label, None if case is None else _case_witness(
-            _shrink_case(case, REL_LAW_SPECS[label][1])), mode))
+            _shrink_case(_relations(amb, case), REL_LAW_SPECS[label][1])), mode))
     return LawReport(suite, tuple(entries))
 
 
@@ -734,6 +762,7 @@ def check_girard_qrel(amb: Quantale, sets: Sequence[FiniteSet], sampler: Sampler
         if d is None:
             raise NotGirardError("check needs a dualizer")
     mode, cases = sample_relation_tuples(amb, sets, sampler, "chain1")
+    cases = [_relations(amb, case) for case in cases]
     entries = []
     for label, holds in (("girard-cyclic", girard_cyclic),
                          ("girard-double-dual", girard_double_dual)):

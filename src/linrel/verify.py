@@ -51,6 +51,7 @@ from .qmod import (
 from .qrel import (
     QREL_CALCULUS,
     FiniteSet,
+    _relations,
     check_girard_qrel,
     check_linear_adjoint,
     finite_set,
@@ -523,7 +524,7 @@ def _thm_qrel_closed(entry: CatalogEntry, sampler: Sampler,
         mode, cases = sample_relation_tuples(amb, sets, sampler, "chain1")
         return _closedness(suite, mode, QREL_CALCULUS, (
             (r, rel_dual(r, amb.dualizer), lambda r=r: [list(v) for v in r.values])
-            for (r,) in cases))
+            for (r,) in (_relations(amb, case) for case in cases)))
     amb = entry.ld
     if not amb.carrier.is_finite:
         raise MismatchError("non-Girard closedness search needs a finite carrier")

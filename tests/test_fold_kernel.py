@@ -12,7 +12,10 @@ ambient's element operations give on the decoded names.
 The law suites run the same operations on coded cells, ``(source,
 target, cells)`` from ``coded_calculus``; on every finite entry and on
 the extended integers each operation case must give, cell for cell, the
-cells of the relation operation's result.
+cells of the relation operation's result.  The calculus remembers its
+compositions by the middle set's size and the operands' cells, so a
+repeated pair, the same cells in another shape and an empty middle set
+must each give what the bare kernel gives.
 """
 
 import random
@@ -25,6 +28,7 @@ from linrel.qrel import (
     QREL_CALCULUS,
     _SLICED_CELLS,
     _coded,
+    _kernel,
     coded_calculus,
     compose_par,
     compose_tensor,
@@ -85,6 +89,38 @@ def test_compositions_match_element_fold(name):
                 assert par.values == _reference(f, g, amb.par, amb.meet)
                 assert calc.tensor(_coded(f), _coded(g)) == _coded(tensor)
                 assert calc.par(_coded(f), _coded(g)) == _coded(par)
+
+
+@pytest.mark.parametrize("name", FINITE + ZINF)
+def test_remembered_compositions_match_bare_kernel(name):
+    rng = random.Random(f"memo-{name}")
+    for amb in _ambients(name):
+        calc = coded_calculus(amb)
+        for op in ("tensor", "par"):
+            remembered, bare = getattr(calc, op), _kernel(amb, op)
+            # repeated pairs, the repeat on sets of other names
+            for n in range(1, 4):
+                X, Y, Z = _members("x", n), _members("y", 4 - n), _members("z", 2)
+                f = _coded(random_relation(rng, amb, X, Y))
+                g = _coded(random_relation(rng, amb, Y, Z))
+                for _ in range(2):
+                    assert remembered(f, g) == bare(f, g)
+                X2, Y2, Z2 = _members("u", n), _members("v", 4 - n), _members("w", 2)
+                f2, g2 = (X2, Y2, f[2]), (Y2, Z2, g[2])
+                assert remembered(f2, g2) == bare(f2, g2)
+                assert remembered(f2, g2)[:2] == (X2, Z2)
+            # the same cells composed as 1x2 by 2x1 and as 2x1 by 1x2
+            one, two = _members("a", 1), _members("b", 2)
+            a = _coded(random_relation(rng, amb, one, two))[2]
+            b = _coded(random_relation(rng, amb, two, one))[2]
+            for f, g in (((one, two, a), (two, one, b)), ((two, one, a), (one, two, b)),
+                         ((one, two, a), (two, one, b))):
+                assert remembered(f, g) == bare(f, g)
+            # an empty middle set, whose cells do not fix the shape
+            empty = _members("e", 0)
+            for nx, nz in ((1, 2), (2, 3), (0, 1), (3, 0), (1, 2)):
+                f, g = (_members("x", nx), empty, ()), (empty, _members("z", nz), ())
+                assert remembered(f, g) == bare(f, g)
 
 
 @pytest.mark.parametrize("name", FINITE)

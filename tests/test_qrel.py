@@ -16,6 +16,7 @@ from linrel.quantale import (
     tropical_quantale,
 )
 from linrel.qrel import (
+    _shrink_case,
     check_girard_qrel,
     check_linear_adjoint,
     compose_par,
@@ -424,6 +425,21 @@ def test_transfer_reproduces_every_failing_law_of_every_broken_entry():
 
 
 # -- JSON ---------------------------------------------------------------------
+
+
+def test_shrinker_lets_a_predicate_error_through():
+    # dropping a member restricts every set equal to the victim, so a
+    # candidate always composes: an error in the predicate is a fault of
+    # the predicate and must not be taken for "the law holds"
+    f = relation(S2, S2, bool_girard(), [["1", "0"], ["0", "1"]])
+
+    def pred(rels):
+        if len(rels[0].source) == 1:
+            raise ZeroDivisionError("raised on a restricted case")
+        return False
+
+    with pytest.raises(ZeroDivisionError):
+        _shrink_case((f, f), pred)
 
 
 def test_relation_json_roundtrip():

@@ -4,14 +4,21 @@ The sampler is seeded afresh per draw, so every law of one shape would
 see the same cases if it drew them itself.  The reference below does
 exactly that, one draw per label, and the suite must give the same report
 bytes on sound and broken entries, exhaustive and seeded random, at
-max-set 2 and 3.  The laws run on the draw's coded cells, so a sound
-entry composes no relations at all.
+max-set 2 and 3.  The draw is of coded cells, which the reference
+turns into relations; the suite runs the laws on the cells themselves,
+so a sound entry composes no relations at all.
 """
 
 import pytest
 
 from linrel import qrel
-from linrel.qrel import REL_LAW_SPECS, _case_witness, _shrink_case, verify_qrel_laws
+from linrel.qrel import (
+    REL_LAW_SPECS,
+    _case_witness,
+    _from_cells,
+    _shrink_case,
+    verify_qrel_laws,
+)
 from linrel.report import LawReport, Sampler, law_entry
 from linrel.verify import catalog, catalog_entry, default_sets
 
@@ -25,13 +32,15 @@ SAMPLERS = {
 
 
 def reference_qrel_laws(amb, sets, sampler, suite="qrel-laws", labels=None):
-    """The suite as it was: every label draws its own cases."""
+    """The suite as it was: every label draws its own cases and checks
+    them as relations."""
     entries = []
     for label in labels or tuple(REL_LAW_SPECS):
         shape, pred = REL_LAW_SPECS[label]
-        mode, cases = qrel.sample_relation_tuples(amb, sets, sampler, shape)
+        mode, cells = qrel.sample_relation_tuples(amb, sets, sampler, shape)
         wit = None
-        for case in cases:
+        for case in cells:
+            case = tuple(_from_cells(X, Y, amb, c) for X, Y, c in case)
             if not pred(case):
                 wit = _case_witness(_shrink_case(case, pred))
                 break
