@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import chain, compress, product, repeat, starmap
+from math import prod
 from operator import attrgetter, getitem, itemgetter, not_
 from typing import Any, Iterator, Sequence
 
@@ -526,38 +527,28 @@ def sample_relation_tuples(amb: Quantale, sets: Sequence[FiniteSet],
     """
     slots = SHAPE_SLOTS[shape]
     n_points = 1 + max(j for _, j in slots)
-    boundaries = list(product(sets, repeat=n_points))
-    total = 0
-    exhaustive_ok = amb.carrier.is_finite
-    if exhaustive_ok:
-        for bnd in boundaries:
-            slot_counts = [count_relations(amb, bnd[i], bnd[j]) for i, j in slots]
-            if any(c > sampler.slot_cap for c in slot_counts):
-                exhaustive_ok = False
-                break
-            prod = 1
-            for c in slot_counts:
-                prod *= c
-            total += prod
-            if total > sampler.tuple_budget:
-                exhaustive_ok = False
-                break
-    if exhaustive_ok and sampler.mode == "exhaustive":
-        cases = []
-        for bnd in boundaries:
-            # parallel slots share one enumeration
-            pools = {(i, j): [(bnd[i], bnd[j], codes) for codes in product(
-                range(len(amb.index_tables.elements)), repeat=len(bnd[i]) * len(bnd[j]))]
-                for i, j in dict.fromkeys(slots)}
-            cases.extend(product(*(pools[slot] for slot in slots)))
-        return sampler.exhaustive_label(), cases
+    # each boundary as the source, target and cell count of every slot
+    plans = [tuple((bnd[i], bnd[j], len(bnd[i].members) * len(bnd[j].members))
+                   for i, j in slots)
+             for bnd in product(sets, repeat=n_points)]
+    if sampler.mode == "exhaustive" and amb.carrier.is_finite:
+        k = len(amb.index_tables.elements)
+        counts = [[k ** n for _, _, n in plan] for plan in plans]
+        if max(map(max, counts), default=0) <= sampler.slot_cap \
+                and sum(map(prod, counts)) <= sampler.tuple_budget:
+            cases = []
+            for plan in plans:
+                # parallel slots share one enumeration
+                pools = {slot: [(X, Y, codes) for codes in product(range(k), repeat=n)]
+                         for slot, (X, Y, n) in dict(zip(slots, plan)).items()}
+                cases.extend(product(*(pools[slot] for slot in slots)))
+            return sampler.exhaustive_label(), cases
     rng = sampler.rng()
     draw = _cell_draw(rng, amb, sampler.window, sampler.inf_weight)
     cases = []
     for _ in range(sampler.count):
-        bnd = boundaries[rng.randrange(len(boundaries))]
-        cases.append(tuple((bnd[i], bnd[j], draw(len(bnd[i]) * len(bnd[j])))
-                           for i, j in slots))
+        plan = plans[rng.randrange(len(plans))]
+        cases.append(tuple([(X, Y, draw(n)) for X, Y, n in plan]))
     return sampler.random_label(), cases
 
 

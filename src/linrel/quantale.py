@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from itertools import compress, product, starmap
-from operator import eq, itemgetter, not_
+from itertools import product, repeat
+from operator import add, ge, getitem, le
 from typing import Any, Callable, Iterable, Sequence
 
 from .errors import (
@@ -559,41 +559,148 @@ def _const(v: Elem) -> Callable[..., Elem]:
     return lambda *_: v
 
 
-def scalar_calculus(amb: Quantale) -> Calculus:
-    """Elements as the 1-cells of the one-object bicategory of ``amb``.
+_ZINF_CODES = {MINUS_INF: float("-inf"), PLUS_INF: float("inf")}
+_ZINF_NAMES = {code: name for name, code in _ZINF_CODES.items()}
 
-    The identities and extreme cells are constants; ``join`` and ``meet``
-    are binary, by table on finite carriers and by comparison on the
-    extended integers, which form a chain.  ``par`` is absent (None) when
-    the ambient has no par.  The kernels are unchecked, so the cells must
-    be validated elements.
+
+def scalar_codec(amb: Quantale) -> tuple[Callable[[Elem], Any], Callable[[Any], Elem]]:
+    """``(encode, decode)`` between validated elements of ``amb`` and the
+    codes of its scalar calculus: ``IndexTables`` indices on a finite
+    carrier; on the extended integers the integers themselves, with the
+    infinities as the float infinities, so that the order is the order of
+    Python numbers."""
+    if amb.carrier.is_finite:
+        t = amb.index_tables
+        return t.index.__getitem__, t.elements.__getitem__
+    return (lambda v: _ZINF_CODES.get(v, v)), (lambda c: _ZINF_NAMES.get(c, c))
+
+
+# A cell of the scalar calculus is one code or a column: a list of codes.
+# Each operation takes any mix of the two, and a column result holds the
+# operation of its entries, position by position, so one call checks a law
+# on a whole column of cases.
+
+
+def _table_cells(rows: Sequence[Sequence]) -> Callable[[Any, Any], Any]:
+    """The binary operation of a table indexed by codes."""
+    cols = tuple(zip(*rows))
+
+    def op(a, b):
+        if a.__class__ is list:
+            if b.__class__ is list:
+                return list(map(getitem, map(rows.__getitem__, a), b))
+            return list(map(cols[b].__getitem__, a))
+        if b.__class__ is list:
+            return list(map(rows[a].__getitem__, b))
+        return rows[a][b]
+    return op
+
+
+def _pointwise_cells(f: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    """``f`` on two codes, mapped over columns."""
+    def op(a, b):
+        if a.__class__ is list:
+            return list(map(f, a, b if b.__class__ is list else repeat(b)))
+        if b.__class__ is list:
+            return list(map(f, repeat(a), b))
+        return f(a, b)
+    return op
+
+
+def _zint_cells(op: ZIntOp) -> Callable[[Any, Any], Any]:
+    """Saturating addition on codes: a finite scalar shifts a column by
+    one C-level ``add``; the dominant infinity absorbs it; the other
+    infinity absorbs every entry but the dominant one."""
+    dom, shift = _ZINF_CODES[op.dominant], op.shift
+    other = -dom
+    keep_dom = {dom: dom}.get
+
+    def on_codes(a, b):
+        if a.__class__ is int and b.__class__ is int:
+            return a + b - shift
+        return dom if a == dom or b == dom else other
+
+    def mul(a, b):
+        if a.__class__ is list:
+            if b.__class__ is list:
+                return list(map(on_codes, a, b))
+            a, b = b, a  # saturating addition is commutative
+        elif b.__class__ is not list:
+            return on_codes(a, b)
+        # a code times the column b
+        if a.__class__ is int:
+            return list(map(add, repeat(a - shift), b))
+        if a == dom:
+            return [dom] * len(b)
+        return list(map(keep_dom, b, repeat(other)))
+    return mul
+
+
+def _cells_eq(a, b) -> bool:
+    """Equality of cells: every entry of a column equals the other side."""
+    if a.__class__ is list:
+        return a == b if b.__class__ is list else a.count(b) == len(a)
+    if b.__class__ is list:
+        return b.count(a) == len(b)
+    return a == b
+
+
+def _all_of(test: Callable[[Any, Any], Any]) -> Callable[[Any, Any], bool]:
+    """A pointwise test on cells, true when it holds at every entry."""
+    def holds(a, b) -> bool:
+        got = test(a, b)
+        return all(got) if got.__class__ is list else got
+    return holds
+
+
+def scalar_calculus(amb: Quantale) -> Calculus:
+    """Elements as the 1-cells of the one-object bicategory of ``amb``, on
+    the codes of :func:`scalar_codec`.
+
+    A cell is a code or a column of codes.  The identities and extreme
+    cells are constant codes; the multiplications, ``join``, ``meet`` and
+    ``leq`` read the ``IndexTables`` rows and columns on finite carriers,
+    and on the extended integers, which form a chain, they are saturating
+    addition and Python's ``max``, ``min`` and comparisons.  ``par`` is
+    absent (None) when the ambient has no par.
     """
-    leq, jm, mm = amb.carrier.leq, amb.join_map, amb.meet_map
-    if jm is None:
-        join = lambda a, b: b if leq(a, b) else a
-        meet = lambda a, b: a if leq(a, b) else b
+    encode = scalar_codec(amb)[0]
+    if amb.carrier.is_finite:
+        t = amb.index_tables
+        mult, ops = _table_cells, (t.tensor, t.par)
+        join, meet, leq = map(_table_cells, (t.join, t.meet, t.leq))
     else:
-        join = lambda a, b: jm[a][b]
-        meet = lambda a, b: mm[a][b]
+        mult, ops = _zint_cells, (amb.op, amb.par_op)
+        lattice = (min, max, ge) if amb.carrier.reverse else (max, min, le)
+        join, meet, leq = map(_pointwise_cells, lattice)
+    tensor, par = (None if op is None else mult(op) for op in ops)
     return Calculus(
-        tensor=amb.mul, par=amb.par_mul,
-        id_top=_const(amb.unit), id_bot=_const(amb.par_unit),
-        zero=_const(amb.bottom), top=_const(amb.top),
-        join=join, meet=meet, leq=leq, eq=eq,
+        tensor=tensor, par=par,
+        id_top=_const(encode(amb.unit)),
+        id_bot=_const(encode(amb.par_unit) if amb.has_par else None),
+        zero=_const(encode(amb.bottom)), top=_const(encode(amb.top)),
+        join=join, meet=meet, leq=_all_of(leq), eq=_cells_eq,
         source=_const(None), target=_const(None))
 
 
-def _first_failure(holds, sample: Sequence[Elem],
-                   keys: tuple[str, ...]) -> tuple[Elem, ...] | None:
+def _first_failure(holds, sample: list, keys: tuple[str, ...]) -> tuple | None:
     """The first case on which ``holds`` fails: the values of ``a``, ``b``,
-    ``c`` drawn from the sample in that order, ``a`` outermost, and fed to
-    the law's slots as ``keys`` names them."""
-    def cases():
-        return product(sample, repeat=len(keys))
-    slots = cases()
-    if keys != tuple(sorted(keys)):
-        slots = map(itemgetter(*map("abc".index, keys)), slots)
-    return next(compress(cases(), map(not_, starmap(holds, slots))), None)
+    ``c`` drawn from the coded sample in that order, ``a`` outermost, and
+    fed to the law's slots as ``keys`` names them.
+
+    Every key but the innermost is bound to a code, and the innermost
+    slot gets the whole sample as a column; only a column that fails is
+    rescanned, code by code, for its first failing case.
+    """
+    order = tuple(map("abc".index, keys))
+
+    def fails(case) -> bool:
+        return not holds(*map(case.__getitem__, order))
+
+    for outer in product(sample, repeat=len(keys) - 1):
+        if fails(outer + (sample,)):
+            return next(filter(fails, (outer + (c,) for c in sample)))
+    return None
 
 
 def _law_report(amb: Quantale, domain_sample: Sequence[Elem] | None, window: int,
@@ -601,21 +708,25 @@ def _law_report(amb: Quantale, domain_sample: Sequence[Elem] | None, window: int
     """Each law of ``labels`` on the scalar calculus of ``amb``, over the
     validated sample, up to its first failing case.
 
-    A failure is replayed once with ``laws.sides`` for the two sides of the
-    law in the witness.
+    The sample is encoded once; a failure is replayed once on its codes
+    with ``laws.sides`` for the two sides of the law, and only the witness
+    is decoded.
     """
     sample = _validated(amb, domain_sample, window)
     mode = "exhaustive" if amb.carrier.is_finite and domain_sample is None \
         else f"sample({len(sample)})"
     calc = scalar_calculus(amb)
+    encode, decode = scalar_codec(amb)
+    codes = list(map(encode, sample))
     entries = []
     for label in labels:
         law, keys = LAWS[label][1], WITNESS_KEYS[label]
-        case = _first_failure(law(calc), sample, keys)
+        case = _first_failure(law(calc), codes, keys)
         wit = None
         if case is not None:
             wit = dict(zip("abc", case))
             wit.update(sides(law, calc, map(wit.get, keys), len(keys) == 1))
+            wit = {k: decode(v) for k, v in wit.items()}
         entries.append(law_entry(label, wit, mode))
     return LawReport(suite, tuple(entries))
 

@@ -1,13 +1,15 @@
 """Elements are the 1-cells of the one-object bicategory.
 
 The element-level law checks run ``laws.LAWS`` on the scalar calculus of
-an LD-quantale.  On every finite catalog entry, sound and broken, each of
-the sixteen element laws must give the same verdict as the relation law on
-1x1 relations over a one-point set, on every tuple of the sample.  Tuples
-run over the witness keys ``a``, ``b``, ``c`` (``a`` outermost); the
-relation side reads its slots from the keys listed below, written out here
-rather than taken from ``laws.WITNESS_KEYS``, so the second distribution's
-permutation is pinned too.  The first disagreeing tuple, if any, is named.
+an LD-quantale, whose cells are element codes.  On every finite catalog
+entry, sound and broken, each of the sixteen element laws on the codes of
+a tuple must give the same verdict as the relation law on 1x1 relations
+over a one-point set holding its elements, on every tuple of the sample.
+Tuples run over the witness keys ``a``, ``b``, ``c`` (``a`` outermost);
+the relation side reads its slots from the keys listed below, written out
+here rather than taken from ``laws.WITNESS_KEYS``, so the second
+distribution's permutation is pinned too.  The first disagreeing tuple,
+if any, is named.
 """
 
 from itertools import product
@@ -16,7 +18,7 @@ import pytest
 
 from linrel.laws import LAWS, WITNESS_KEYS
 from linrel.qrel import REL_LAW_SPECS, FiniteSet, QRelation
-from linrel.quantale import check_ld_laws, scalar_calculus
+from linrel.quantale import check_ld_laws, scalar_calculus, scalar_codec
 from linrel.report import LAW_GROUPS
 from linrel.verify import catalog
 
@@ -43,6 +45,7 @@ def test_scalar_calculus_agrees_with_one_point_relations(name):
     ld = catalog()[name].ld
     sample = ld.sample_elements()
     calc = scalar_calculus(ld)
+    encode = scalar_codec(ld)[0]
     report = check_ld_laws(ld)
     for label in ELEMENT_LAWS:
         law, keys = LAWS[label][1], SLOT_KEYS[label]
@@ -51,7 +54,7 @@ def test_scalar_calculus_agrees_with_one_point_relations(name):
         first_failure = None
         for values in product(sample, repeat=len(keys)):
             case = dict(zip("abc", values))
-            element = on_elements(*(case[k] for k in keys))
+            element = on_elements(*(encode(case[k]) for k in keys))
             relation = on_relations(tuple(QRelation(POINT, POINT, ld, ((case[k],),))
                                           for k in keys))
             assert element == relation, (name, label, case)
