@@ -49,8 +49,9 @@ def _shifted():
 
 
 def ambients(name: str):
-    if name in _shifted():
-        return [_shifted()[name]]
+    shifted = _shifted()
+    if name in shifted:
+        return [shifted[name]]
     entry = catalog()[name]
     return [amb for amb in (entry.ld, entry.girard) if amb is not None]
 
