@@ -10,8 +10,9 @@ indices, and every composition, pointwise operation and comparison runs
 on the ambient's :class:`~linrel.quantale.IndexTables`.  Over the
 extended integers it keeps its elements and runs on the closed-form
 kernels.  Each kernel works on a relation's row-major cells, so the law
-suite runs the same kernels on plain coded cells (:func:`coded_calculus`)
-and builds relations only to shrink a failing case.
+suites, the witness shrinker and the adjunction checks run the same
+kernels on plain coded cells (:func:`coded_calculus`) and decode only a
+witness.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import chain, compress, product, repeat, starmap
 from math import prod
-from operator import attrgetter, getitem, itemgetter, not_
+from operator import getitem, itemgetter, not_
 from typing import Any, Iterator, Sequence
 
 from .errors import (
@@ -456,7 +457,8 @@ def check_linear_adjoint(A: QRelation, B: QRelation) -> bool:
     if A.source != B.target or A.target != B.source or A.ambient != B.ambient:
         raise MismatchError("candidate adjoint has the wrong boundary")
     _require_par(A.ambient)
-    return all(law(QREL_CALCULUS, A, B) for law in ADJOINT_LAWS.values())
+    calc, a, b = coded_calculus(A.ambient), _coded(A), _coded(B)
+    return all(law(calc, a, b) for law in ADJOINT_LAWS.values())
 
 
 def girard_cyclic(r: QRelation, d: Elem) -> bool:
@@ -553,24 +555,7 @@ def sample_relation_tuples(amb: Quantale, sets: Sequence[FiniteSet],
 
 
 # ---------------------------------------------------------------------------
-# Relation-level law suite
-
-QREL_CALCULUS = Calculus(
-    # Compositions are looked up at call time, so a rebinding of the module
-    # functions (such as a tracing wrapper) also sees the law suites' calls.
-    tensor=lambda f, g: compose_tensor(f, g),
-    par=lambda f, g: compose_par(f, g),
-    id_top=lambda f, X: id_top(X, f.ambient),
-    id_bot=lambda f, X: id_bot(X, f.ambient),
-    zero=lambda f, X, Y: zero_relation(X, Y, f.ambient),
-    top=lambda f, X, Y: top_relation(X, Y, f.ambient),
-    join=rel_join,
-    meet=rel_meet,
-    leq=rel_leq,
-    eq=lambda f, g: f.values == g.values if f.codes is None else f.codes == g.codes,
-    source=attrgetter("source"),
-    target=attrgetter("target"),
-)
+# Law suite on coded cells
 
 
 def _memo(kernel):
@@ -608,7 +593,7 @@ def coded_calculus(amb: Quantale) -> Calculus:
 
     return Calculus(
         tensor=_memo(_kernel(amb, "tensor")),
-        par=_memo(_kernel(amb, "par")) if amb.has_par else None,
+        par=_memo(_kernel(amb, "par")) if amb.has_par else lambda f, g: _require_par(amb),
         id_top=lambda f, X: (X, X, _diagonal_cells(len(X.members), unit, bottom)),
         id_bot=lambda f, X: (X, X, _diagonal_cells(len(X.members), par_unit, top)),
         zero=constant(bottom), top=constant(top),
@@ -618,43 +603,36 @@ def coded_calculus(amb: Quantale) -> Calculus:
         source=itemgetter(0), target=itemgetter(1))
 
 
-# label -> (shape, predicate on the composable relation tuple).  Predicates
-# are pure so the shrinker can replay them.
-REL_LAW_SPECS: dict[str, tuple[str, Any]] = {
-    label: (shape, lambda rels, holds=law(QREL_CALCULUS): holds(*rels))
-    for label, (shape, law) in LAWS.items()
-}
+def _shrink_case(amb: Quantale, case: tuple, holds) -> tuple:
+    """Greedy witness minimization of a failing case of coded cells, for
+    which ``holds(*case)`` is false: drop set members, then lower entries."""
 
-
-def _shrink_case(rels: tuple[QRelation, ...], pred) -> tuple[QRelation, ...]:
-    """Greedy witness minimization: drop set members, then lower entries."""
-
-    def restrict(rel: QRelation, victim: FiniteSet, keep: tuple[int, ...]) -> QRelation:
-        src, tgt = rel.source, rel.target
-        rows = _rows(_cells(rel), len(src.members), len(tgt.members))
+    def restrict(cell: tuple, victim: FiniteSet, keep: tuple[int, ...]) -> tuple:
+        src, tgt, cells = cell
+        rows = _rows(cells, len(src.members), len(tgt.members))
         if src == victim:
             src = FiniteSet(src.name, tuple(src.members[i] for i in keep))
             rows = tuple(rows[i] for i in keep)
         if tgt == victim:
             tgt = FiniteSet(tgt.name, tuple(tgt.members[i] for i in keep))
             rows = tuple(tuple(row[i] for i in keep) for row in rows)
-        return _from_cells(src, tgt, rel.ambient, tuple(chain.from_iterable(rows)))
+        return src, tgt, tuple(chain.from_iterable(rows))
 
     changed = True
     while changed:
         changed = False
         seen: list[FiniteSet] = []
-        for rel in rels:
-            for s in (rel.source, rel.target):
+        for cell in case:
+            for s in cell[:2]:
                 if s not in seen and len(s) > 1:
                     seen.append(s)
         for victim in seen:
             for drop in range(len(victim)):
                 keep = tuple(i for i in range(len(victim)) if i != drop)
                 # every set equal to the victim shrinks: the candidate composes
-                candidate = tuple(restrict(r, victim, keep) for r in rels)
-                if not pred(candidate):
-                    rels = candidate
+                candidate = tuple(restrict(c, victim, keep) for c in case)
+                if not holds(*candidate):
+                    case = candidate
                     changed = True
                     break
             if changed:
@@ -663,7 +641,6 @@ def _shrink_case(rels: tuple[QRelation, ...], pred) -> tuple[QRelation, ...]:
     # Lower each entry, in row-major order, to the first element below it
     # that keeps the case failing: indices in declaration order over a
     # finite carrier, minus infinity then zero over the extended integers.
-    amb = rels[0].ambient
     t = amb.index_tables
     if t is not None:
         lows, leq = range(len(t.elements)), lambda a, b: t.leq[a][b]
@@ -672,20 +649,18 @@ def _shrink_case(rels: tuple[QRelation, ...], pred) -> tuple[QRelation, ...]:
     changed = True
     while changed:
         changed = False
-        for ri, rel in enumerate(rels):
-            cells = _cells(rel)
+        for ri, (X, Y, cells) in enumerate(case):
             for k, cur in enumerate(cells):
                 for low in lows:
                     if low == cur or not leq(low, cur):
                         continue
                     cand_cells = cells[:k] + (low,) + cells[k + 1:]
-                    cand_rel = _from_cells(rel.source, rel.target, amb, cand_cells)
-                    candidate = rels[:ri] + (cand_rel,) + rels[ri + 1:]
-                    if not pred(candidate):
-                        rels, cells = candidate, cand_cells
+                    candidate = case[:ri] + ((X, Y, cand_cells),) + case[ri + 1:]
+                    if not holds(*candidate):
+                        case, cells = candidate, cand_cells
                         changed = True
                         break
-    return rels
+    return case
 
 
 def _relations(amb: Quantale, case: tuple) -> tuple[QRelation, ...]:
@@ -693,14 +668,14 @@ def _relations(amb: Quantale, case: tuple) -> tuple[QRelation, ...]:
     return tuple(_from_cells(X, Y, amb, cells) for X, Y, cells in case)
 
 
-def _case_witness(rels: tuple[QRelation, ...]) -> dict:
-    names = "fgh"
+def _case_witness(amb: Quantale, case: tuple) -> dict:
+    """The witness of a case of coded cells, its relations decoded."""
     wit: dict[str, Any] = {"sets": {}}
-    for rel in rels:
-        for s in (rel.source, rel.target):
+    for cell in case:
+        for s in cell[:2]:
             wit["sets"].setdefault(s.name, list(s.members))
-    for i, rel in enumerate(rels):
-        wit[names[i]] = {
+    for name, rel in zip("fgh", _relations(amb, case)):
+        wit[name] = {
             "source": rel.source.name,
             "target": rel.target.name,
             "values": [list(row) for row in rel.values],
@@ -708,12 +683,10 @@ def _case_witness(rels: tuple[QRelation, ...]) -> dict:
     return wit
 
 
-def _first_witness(cases, pred) -> dict | None:
-    """The shrunk witness of the first case on which ``pred`` fails."""
-    for case in cases:
-        if not pred(case):
-            return _case_witness(_shrink_case(case, pred))
-    return None
+def _first_witness(amb: Quantale, cases: list, holds) -> dict | None:
+    """The shrunk witness of the first case on which ``holds`` fails."""
+    case = next(compress(cases, map(not_, starmap(holds, cases))), None)
+    return None if case is None else _case_witness(amb, _shrink_case(amb, case, holds))
 
 
 def verify_qrel_laws(amb: Quantale, sets: Sequence[FiniteSet], sampler: Sampler,
@@ -724,12 +697,12 @@ def verify_qrel_laws(amb: Quantale, sets: Sequence[FiniteSet], sampler: Sampler,
     Every law of one shape reads the same draw: the sampler is seeded
     afresh per draw, so drawing it again would repeat the same cases.
     The laws run on the draw's coded cells, through one calculus whose
-    compositions the laws share; only the first case a law fails is
-    shrunk, as relations, by its ``REL_LAW_SPECS`` predicate.
+    compositions the laws and the shrinker share; only the witness is
+    decoded.
     """
     _require_par(amb)
     if labels is None:
-        labels = tuple(REL_LAW_SPECS)
+        labels = tuple(LAWS)
     calc = coded_calculus(amb)
     draws: dict[str, tuple] = {}
     entries = []
@@ -738,9 +711,7 @@ def verify_qrel_laws(amb: Quantale, sets: Sequence[FiniteSet], sampler: Sampler,
         if shape not in draws:
             draws[shape] = sample_relation_tuples(amb, sets, sampler, shape)
         mode, cases = draws[shape]
-        case = next(compress(cases, map(not_, starmap(law(calc), cases))), None)
-        entries.append(law_entry(label, None if case is None else _case_witness(
-            _shrink_case(_relations(amb, case), REL_LAW_SPECS[label][1])), mode))
+        entries.append(law_entry(label, _first_witness(amb, cases, law(calc)), mode))
     return LawReport(suite, tuple(entries))
 
 
@@ -753,11 +724,12 @@ def check_girard_qrel(amb: Quantale, sets: Sequence[FiniteSet], sampler: Sampler
         if d is None:
             raise NotGirardError("check needs a dualizer")
     mode, cases = sample_relation_tuples(amb, sets, sampler, "chain1")
-    cases = [_relations(amb, case) for case in cases]
     entries = []
-    for label, holds in (("girard-cyclic", girard_cyclic),
+    # the checks read residuals, so each decodes the cell it tests
+    for label, check in (("girard-cyclic", girard_cyclic),
                          ("girard-double-dual", girard_double_dual)):
-        wit = _first_witness(cases, lambda rels, holds=holds: holds(*rels, d))
+        wit = _first_witness(amb, cases, lambda *case, check=check:
+                             check(*_relations(amb, case), d))
         entries.append(law_entry(label, wit and {**wit, "dualizer": d}, mode))
     return LawReport(suite, tuple(entries))
 
@@ -767,14 +739,13 @@ def transfer_quantale_witness(amb: Quantale, label: str, witness: dict) -> tuple
 
     Element witnesses carry the law's keys (see ``WITNESS_KEYS``); the
     corresponding relation law is evaluated on 1x1 constant relations over
-    a singleton set.  Returns the law outcome and the constructed relation
-    witness.
+    a singleton set, as coded cells.  Returns the law outcome and the
+    constructed relation witness.
     """
     point = FiniteSet("pt", ("*",))
-    rels = tuple(QRelation(point, point, amb, ((witness[k],),))
+    case = tuple(_coded(QRelation(point, point, amb, ((witness[k],),)))
                  for k in WITNESS_KEYS[label])
-    holds = REL_LAW_SPECS[label][1](rels)
-    return holds, _case_witness(rels)
+    return LAWS[label][1](coded_calculus(amb))(*case), _case_witness(amb, case)
 
 
 # ---------------------------------------------------------------------------

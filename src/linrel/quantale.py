@@ -38,7 +38,9 @@ _INFS = (MINUS_INF, PLUS_INF)
 
 
 def zint_valid(v: object) -> bool:
-    return v in _INFS or (isinstance(v, int) and not isinstance(v, bool))
+    """An infinity or an exact ``int``: the kernels read any other value,
+    a ``bool`` or another ``int`` subclass included, as an infinity."""
+    return v.__class__ is int or v in _INFS
 
 
 def zint_leq(a: Elem, b: Elem) -> bool:
@@ -534,6 +536,7 @@ def with_dualizer(q: Quantale, d: Elem) -> Quantale:
     a finite carrier, and in closed form on the extended integers, where it
     is saturating addition shifted by ``d`` with the other infinity
     dominant."""
+    d = q.carrier.check(d)
     if q.carrier.is_finite:
         els, mul, rr = q.carrier.lattice.elements, q.mul, q.res_right
         neg = {a: rr(a, d) for a in els}

@@ -980,7 +980,7 @@ def _linear_monq(Q: FiniteQuantaloid,
 #  "homs": {"a->b": {"elements": [...], "covers": [[lo, hi], ...]}, ...},
 #  "compose": {"a->b->c": [[...row-major...]], ...},
 #  "units": {"a": elem, ...},
-#  "par_compose": {...}?, "par_units": {...}?, "dualizers": {...}?}
+#  "par_compose": {...}?, "par_units": {...}?}
 
 
 def _key(*objs: Obj) -> str:
@@ -1036,15 +1036,7 @@ def quantaloid_from_json(obj: dict) -> FiniteQuantaloid:
                              units, par_tables, par_units)
 
 
-def quantaloid_family_from_json(obj: dict) -> dict[Obj, str] | None:
-    if "dualizers" in obj and obj["dualizers"] is not None:
-        return dict(_json_object(obj["dualizers"], "dualizers",
-                                 "object to an element"))
-    return None
-
-
-def quantaloid_to_json(Q: FiniteQuantaloid,
-                       family: Mapping[Obj, str] | None = None) -> dict:
+def quantaloid_to_json(Q: FiniteQuantaloid) -> dict:
     out = {
         "objects": list(Q.objects),
         "homs": {},
@@ -1069,6 +1061,4 @@ def quantaloid_to_json(Q: FiniteQuantaloid,
         out["par_compose"] = {_key(a, b, c): [list(r) for r in table]
                               for (a, b, c), table in Q.par_tables.items()}
         out["par_units"] = dict(Q.units_bot)
-    if family is not None:
-        out["dualizers"] = dict(family)
     return out

@@ -49,11 +49,12 @@ from .qmod import (
     verify_linear_quantaloid_theorems,
 )
 from .qrel import (
-    QREL_CALCULUS,
     FiniteSet,
+    _coded,
     _relations,
     check_girard_qrel,
     check_linear_adjoint,
+    coded_calculus,
     finite_set,
     girard_cyclic,
     girard_double_dual,
@@ -522,8 +523,9 @@ def _thm_qrel_closed(entry: CatalogEntry, sampler: Sampler,
     if entry.is_girard:
         amb = entry.girard
         mode, cases = sample_relation_tuples(amb, sets, sampler, "chain1")
-        return _closedness(suite, mode, QREL_CALCULUS, (
-            (r, rel_dual(r, amb.dualizer), lambda r=r: [list(v) for v in r.values])
+        return _closedness(suite, mode, coded_calculus(amb), (
+            (_coded(r), _coded(rel_dual(r, amb.dualizer)),
+             lambda r=r: [list(v) for v in r.values])
             for (r,) in (_relations(amb, case) for case in cases)))
     amb = entry.ld
     if not amb.carrier.is_finite:

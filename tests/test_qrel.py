@@ -1,13 +1,17 @@
 """Relation calculus: compositions against independent oracles, identities,
 residual relations, dualization, and adjunction facts."""
 
+import random
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
+from relation_reference import QREL_CALCULUS
+
 from linrel.errors import MismatchError, NoParStructureError, NotGirardError
 from linrel.lattice import chain
+from linrel.laws import ADJOINT_LAWS
 from linrel.quantale import (
     MINUS_INF,
     PLUS_INF,
@@ -16,6 +20,7 @@ from linrel.quantale import (
     tropical_quantale,
 )
 from linrel.qrel import (
+    _coded,
     _shrink_case,
     check_girard_qrel,
     check_linear_adjoint,
@@ -26,6 +31,7 @@ from linrel.qrel import (
     finite_set,
     id_bot,
     id_top,
+    random_relation,
     rel_dual,
     rel_leq,
     relation,
@@ -38,7 +44,7 @@ from linrel.qrel import (
     zero_relation,
 )
 from linrel.report import Sampler
-from linrel.verify import catalog_entry
+from linrel.verify import catalog, catalog_entry
 
 
 def bool_quantale():
@@ -356,6 +362,35 @@ def test_adjunction_characterizes_hom_adjoints():
             assert adj == hom_adj, (A.values, B.values)
 
 
+def reference_adjoint(A, B):
+    """The unit and counit on the relation-level reference calculus."""
+    return all(law(QREL_CALCULUS, A, B) for law in ADJOINT_LAWS.values())
+
+
+FINITE = sorted(name for name, e in catalog().items() if e.ld.carrier.is_finite)
+ZINF = sorted(name for name, e in catalog().items() if not e.ld.carrier.is_finite)
+
+
+@pytest.mark.parametrize("name", FINITE + ZINF)
+def test_linear_adjoint_matches_reference_calculus(name):
+    amb = catalog_entry(name).ld
+    pairs = [(id_top(X, amb), id_bot(X, amb)) for X in (S1, S2)]
+    if amb.carrier.is_finite:
+        # every pair of one-point relations
+        ones = list(enumerate_relations(amb, S1, S1))
+        pairs += list(product(ones, repeat=2))
+        shapes = ((S2, S1), (S1, S2))
+    else:
+        shapes = ((S1, S1), (S2, S1), (S1, S2), (S2, S2))
+    rng = random.Random(f"adjoint-{name}")
+    for _ in range(200):
+        X, Y = rng.choice(shapes)
+        pairs.append((random_relation(rng, amb, X, Y), random_relation(rng, amb, Y, X)))
+    verdicts = [check_linear_adjoint(A, B) for A, B in pairs]
+    assert verdicts == [reference_adjoint(A, B) for A, B in pairs]
+    assert len(set(verdicts)) == (1 if name == "point" else 2)
+
+
 # -- law suites --------------------------------------------------------------
 
 
@@ -411,6 +446,15 @@ def test_transfer_quantale_witness_reproduces_failure():
     assert "f" in wit
 
 
+def test_transfer_needs_a_par_only_for_laws_that_read_it():
+    amb = bool_quantale()
+    holds, wit = transfer_quantale_witness(amb, "tensor-unit-left", {"a": "1"})
+    assert holds and wit["f"]["values"] == [["1"]]
+    for label in ("par-unit-left", "par-associativity", "linear-distribution-left"):
+        with pytest.raises(NoParStructureError):
+            transfer_quantale_witness(amb, label, {"a": "1", "b": "0", "c": "1"})
+
+
 def test_transfer_reproduces_every_failing_law_of_every_broken_entry():
     from linrel.quantale import check_ld_laws
     from linrel.verify import catalog
@@ -431,15 +475,16 @@ def test_shrinker_lets_a_predicate_error_through():
     # dropping a member restricts every set equal to the victim, so a
     # candidate always composes: an error in the predicate is a fault of
     # the predicate and must not be taken for "the law holds"
-    f = relation(S2, S2, bool_girard(), [["1", "0"], ["0", "1"]])
+    amb = bool_girard()
+    f = _coded(relation(S2, S2, amb, [["1", "0"], ["0", "1"]]))
 
-    def pred(rels):
-        if len(rels[0].source) == 1:
+    def holds(f, g):
+        if len(f[0]) == 1:
             raise ZeroDivisionError("raised on a restricted case")
         return False
 
     with pytest.raises(ZeroDivisionError):
-        _shrink_case((f, f), pred)
+        _shrink_case(amb, (f, f), holds)
 
 
 def test_relation_json_roundtrip():

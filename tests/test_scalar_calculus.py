@@ -16,8 +16,10 @@ from itertools import product
 
 import pytest
 
+from relation_reference import REL_LAW_SPECS
+
 from linrel.laws import LAWS, WITNESS_KEYS
-from linrel.qrel import REL_LAW_SPECS, FiniteSet, QRelation
+from linrel.qrel import FiniteSet, QRelation
 from linrel.quantale import check_ld_laws, scalar_calculus, scalar_codec
 from linrel.report import LAW_GROUPS
 from linrel.verify import catalog

@@ -1,12 +1,10 @@
 """The shared theorem skeleton: the report assembler, the closedness loop,
 and ``girard-qrel`` on entries that are not quantales."""
 
-from dataclasses import replace
-
 import pytest
 
 from linrel import verify
-from linrel.qrel import QREL_CALCULUS
+from linrel.laws import Calculus
 from linrel.report import LAW_GROUPS, LawReport, law_entry, side_entry, theorem_report
 from linrel.verify import run_theorem
 
@@ -53,10 +51,11 @@ def test_side_entry_carries_a_copy_of_the_first_failure():
 
 def test_closedness_stops_once_both_witnesses_are_found():
     # cells are integers; the unit fails below zero, the counit above it
-    calc = replace(QREL_CALCULUS, par=lambda f, g: f, tensor=lambda g, f: f,
-                   id_top=lambda f, X: 0, id_bot=lambda f, X: 0,
-                   leq=lambda a, b: a <= b, source=lambda f: None,
-                   target=lambda f: None)
+    calc = Calculus(par=lambda f, g: f, tensor=lambda g, f: f,
+                    id_top=lambda f, X: 0, id_bot=lambda f, X: 0,
+                    zero=None, top=None, join=None, meet=None, eq=None,
+                    leq=lambda a, b: a <= b, source=lambda f: None,
+                    target=lambda f: None)
     drawn, read = [], []
 
     def cases():

@@ -432,9 +432,10 @@ def test_witness_reproduces_failure():
                            Sampler.random(seed=7, count=150))
     fail = rep.failing()[0]
     assert fail.witness is not None
-    # replay: rebuild the relations named in the witness and re-check
-    from linrel.qrel import REL_LAW_SPECS, QRelation
-    from linrel.qrel import FiniteSet
+    # replay: rebuild the relations named in the witness and re-check them
+    # on the relation-level reference calculus
+    from relation_reference import REL_LAW_SPECS
+    from linrel.qrel import FiniteSet, QRelation
     shape, pred = REL_LAW_SPECS[fail.law]
     sets = {name: FiniteSet(name, tuple(members))
             for name, members in fail.witness["sets"].items()}

@@ -12,6 +12,7 @@ enters: in relations, in law-check samples and on the command line.
 
 import json
 import random
+from enum import IntEnum
 from itertools import product
 
 import pytest
@@ -35,6 +36,8 @@ from linrel.quantale import (
     check_ld_laws,
     find_dualizers,
     opposite_quantale,
+    tropical_quantale,
+    with_dualizer,
     zint_leq,
 )
 from linrel.verify import (
@@ -252,6 +255,32 @@ def test_relation_constructors_refuse_non_integers(bad):
             "values": [[0, bad]]}
     with pytest.raises(UnknownElementError):
         relation_from_json(blob, amb)
+
+
+class Small(IntEnum):
+    ONE = 1
+
+
+def test_int_subclasses_are_refused():
+    # the kernels test ``v.__class__ is int`` and read any other value as
+    # an infinity, so an int subclass must not get past the boundary:
+    # tensor(Small.ONE, 2) once gave "+inf" where tensor(1, 2) gives 3
+    amb = tropical_quantale()
+    assert amb.tensor(1, 2) == 3
+    with pytest.raises(UnknownElementError):
+        amb.tensor(Small.ONE, 2)
+    with pytest.raises(UnknownElementError):
+        amb.tensor(2, Small.ONE)
+    pt = finite_set("pt", ["*"])
+    assert relation(pt, pt, amb, [[1]]).values == ((1,),)
+    with pytest.raises(UnknownElementError):
+        relation(pt, pt, amb, [[Small.ONE]])
+    girard = with_dualizer(amb, 0)
+    assert girard.par(1, 2) == 3
+    with pytest.raises(UnknownElementError):
+        girard.par(Small.ONE, 2)
+    with pytest.raises(UnknownElementError):
+        with_dualizer(amb, Small.ONE)
 
 
 @pytest.mark.parametrize("bad", BAD, ids=repr)
