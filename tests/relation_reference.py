@@ -5,7 +5,8 @@ checks on coded cells (``qrel.coded_calculus``).  This module states the
 same calculus on ``QRelation`` objects, through the public relation
 operations (``compose_tensor``, ``rel_join``, ``id_top`` and so on), with
 the greedy relation-level shrinker and witness encoding, so that tests can
-compare the coded path with an independent one.
+compare the coded path with an independent one; ``reference_qrel_laws``
+is the law suite on it, case by case in draw order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Any
 
+from linrel import qrel
 from linrel.laws import LAWS, Calculus
 from linrel.qrel import (
     FiniteSet,
@@ -32,6 +34,7 @@ from linrel.qrel import (
     zero_relation,
 )
 from linrel.quantale import MINUS_INF
+from linrel.report import LawReport, law_entry
 
 QREL_CALCULUS = Calculus(
     tensor=compose_tensor,
@@ -133,3 +136,20 @@ def case_witness(rels: tuple[QRelation, ...]) -> dict:
             "values": [list(row) for row in rel.values],
         }
     return wit
+
+
+def reference_qrel_laws(amb, sets, sampler, suite="qrel-laws", labels=None):
+    """The suite case by case: every label draws its own cases, and checks
+    them in draw order as relations, up to the first failure."""
+    entries = []
+    for label in labels or tuple(REL_LAW_SPECS):
+        shape, pred = REL_LAW_SPECS[label]
+        mode, cells, _ = qrel.sample_relation_tuples(amb, sets, sampler, shape)
+        wit = None
+        for case in cells:
+            case = tuple(_from_cells(X, Y, amb, c) for X, Y, c in case)
+            if not pred(case):
+                wit = case_witness(shrink_case(case, pred))
+                break
+        entries.append(law_entry(label, wit, mode))
+    return LawReport(suite, tuple(entries))

@@ -2,7 +2,8 @@
 
 The sampler is seeded afresh per draw, so every law of one shape would
 see the same cases if it drew them itself.  The reference below does
-exactly that, one draw per label, and the suite must give the same report
+exactly that (``relation_reference.reference_qrel_laws``), one draw per
+label, and the suite must give the same report
 bytes on sound and broken entries, exhaustive and seeded random, at
 max-set 2 and 3.  The draw is of coded cells, which the reference turns
 into relations and checks, and shrinks, on the relation-level calculus
@@ -12,11 +13,11 @@ the cells themselves, so it composes no relations at all.
 
 import pytest
 
-from relation_reference import REL_LAW_SPECS, case_witness, shrink_case
+from relation_reference import REL_LAW_SPECS, reference_qrel_laws
 
 from linrel import qrel
-from linrel.qrel import _from_cells, verify_qrel_laws
-from linrel.report import LawReport, Sampler, law_entry
+from linrel.qrel import verify_qrel_laws
+from linrel.report import Sampler
 from linrel.verify import catalog, catalog_entry, default_sets
 
 ENTRIES = ("bool", "chain3", "chain3-broken", "diamond-broken",
@@ -26,23 +27,6 @@ SAMPLERS = {
     "exhaustive": Sampler.exhaustive(),
     "random:40": Sampler.random(seed=5, count=40),
 }
-
-
-def reference_qrel_laws(amb, sets, sampler, suite="qrel-laws", labels=None):
-    """The suite as it was: every label draws its own cases and checks
-    them as relations."""
-    entries = []
-    for label in labels or tuple(REL_LAW_SPECS):
-        shape, pred = REL_LAW_SPECS[label]
-        mode, cells = qrel.sample_relation_tuples(amb, sets, sampler, shape)
-        wit = None
-        for case in cells:
-            case = tuple(_from_cells(X, Y, amb, c) for X, Y, c in case)
-            if not pred(case):
-                wit = case_witness(shrink_case(case, pred))
-                break
-        entries.append(law_entry(label, wit, mode))
-    return LawReport(suite, tuple(entries))
 
 
 @pytest.mark.parametrize("max_set", [2, 3])
